@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .brachistochrone import sweep_lambda, sweep_phi
+from .brachistochrone import optimal_gate_time, sweep_lambda, sweep_phi
 from .entanglement import Measure
 from .haar_baseline import haar_global_baseline
 from .protocol import (
@@ -26,7 +26,7 @@ from .protocol import (
     convergence_report,
     run_ensemble,
 )
-from .qstate import canonical_gate, entangler_gate
+from .qstate import MAX_QUBITS, canonical_gate, entangler_gate
 
 __all__ = ["main", "parse_args", "execute", "UsageError"]
 
@@ -35,6 +35,11 @@ SCHEMA = 1
 _DEFAULT_LAMBDA = (math.pi / 4, 0.0, 0.0)
 _DEFAULT_PHI_GRID = "{0}:{1}:{0}".format(math.pi / 12, 11 * math.pi / 12)
 _DEFAULT_LAMBDA_GRID = "0:{}:{}".format(math.pi / 4, math.pi / 16)
+
+_TRAJECTORY_HEADER = ("gate_index", "measure", "level", "mean_E", "delta_E")
+_REPORT_HEADER = ("measure", "level", "n_gates", "decay_rate", "fit_hi", "fit_lo")
+_SWEEP_PHI_HEADER = ("phi", "n_gates", "t_phi", "t_phys")
+_SWEEP_LAMBDA_HEADER = ("lambda_x", "lambda_y", "lambda_z", "n_gates")
 
 _EXIT_USAGE = 1
 _EXIT_IO = 2
@@ -68,6 +73,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"need stop >= start and step > 0, got {text!r}")
     values = []
@@ -137,48 +144,63 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse and validate; raises UsageError naming the offending flag."""
+    """Parse and validate; raises UsageError with the reason.
+
+    For the protocol commands the settings are validated by building the
+    ProtocolConfig, which is stored as ``args.config``.
+    """
     args = build_parser().parse_args(argv)
-    if not 2 <= args.qubits <= 24:
-        raise UsageError(f"--qubits must be in [2, 24], got {args.qubits}")
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    if hasattr(args, "realizations"):
-        if args.realizations < 1:
-            raise UsageError(f"--realizations must be >= 1, got {args.realizations}")
-        if args.max_gates < 0:
-            raise UsageError(f"--max-gates must be >= 0, got {args.max_gates}")
-        if args.eval_stride < 1:
-            raise UsageError(f"--eval-stride must be >= 1, got {args.eval_stride}")
-        if not 0.0 < args.threshold < 1.0:
-            raise UsageError(f"--threshold must be in (0, 1), got {args.threshold}")
-        if args.confirm_window < 0:
-            raise UsageError(f"--confirm-window must be >= 0, got {args.confirm_window}")
+    if args.subcommand == "baseline":
+        if not 2 <= args.qubits <= MAX_QUBITS:
+            raise UsageError(f"--qubits must be in [2, {MAX_QUBITS}], got {args.qubits}")
+    else:
         if args.workers is not None and args.workers < 1:
             raise UsageError(f"--workers must be >= 1, got {args.workers}")
-    if args.subcommand == "run":
-        if args.lam is not None and args.phi is not None:
-            raise UsageError("--lambda and --phi are mutually exclusive")
-        if args.phi is not None and not 0.0 <= args.phi <= math.pi:
-            raise UsageError(f"--phi must be in [0, pi], got {args.phi}")
-    if args.subcommand == "sweep-phi":
-        if args.phi_grid is None:
-            args.phi_grid = _parse_grid(_DEFAULT_PHI_GRID)
-        if any(not 0.0 <= v <= math.pi for v in args.phi_grid):
-            raise UsageError("--phi-grid values must be in [0, pi]")
-        if not args.omega > 0.0:
-            raise UsageError(f"--omega must be positive, got {args.omega}")
-    if args.subcommand == "sweep-lambda" and args.lambda_grid is None:
-        args.lambda_grid = _parse_grid(_DEFAULT_LAMBDA_GRID)
+        try:
+            args.config = _protocol_config(args)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if args.output is None:
         args.output = Path(f"{args.subcommand.replace('-', '_')}.{args.format}")
     return args
 
 
-def _measures(name: str) -> tuple[Measure, ...]:
-    if name == "both":
-        return (Measure.LINEAR, Measure.VON_NEUMANN)
-    return (Measure(name),)
+def _protocol_config(args) -> ProtocolConfig:
+    """The run's config; the sweeps get an identity placeholder gate."""
+    gate = np.eye(4, dtype=complex)
+    measures = (Measure.LINEAR,)
+    if args.subcommand == "run":
+        if args.lam is not None and args.phi is not None:
+            raise UsageError("--lambda and --phi are mutually exclusive")
+        if args.phi is not None:
+            gate = entangler_gate(args.phi)
+        else:
+            if args.lam is None:
+                args.lam = _DEFAULT_LAMBDA
+            gate = canonical_gate(args.lam)
+        if args.measure == "both":
+            measures = (Measure.LINEAR, Measure.VON_NEUMANN)
+        else:
+            measures = (Measure(args.measure),)
+    elif args.subcommand == "sweep-phi":
+        if args.phi_grid is None:
+            args.phi_grid = _parse_grid(_DEFAULT_PHI_GRID)
+        for phi in args.phi_grid:
+            optimal_gate_time(phi, args.omega)
+    elif args.lambda_grid is None:
+        args.lambda_grid = _parse_grid(_DEFAULT_LAMBDA_GRID)
+    return ProtocolConfig(
+        num_qubits=args.qubits,
+        fixed_gate=gate,
+        geometry=Geometry(args.geometry),
+        realizations=args.realizations,
+        max_gates=args.max_gates,
+        eval_stride=args.eval_stride,
+        seed=args.seed,
+        measures=measures,
+        threshold=args.threshold,
+        confirm_window=args.confirm_window,
+    )
 
 
 def _fmt(value) -> str:
@@ -194,9 +216,26 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     print(f"wrote {path}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_csv(path: Path, meta, header, rows) -> None:
+    """Schema line, one '#key=value' line per meta pair, header, then rows."""
+    lines = [f"#schema={SCHEMA}", *(f"#{k}={_fmt(v)}" for k, v in meta), ",".join(header)]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    _write_lines(path, lines)
+
+
+def _write_json(path: Path, command: str, payload: dict) -> None:
+    payload = {"schema": SCHEMA, "command": command, **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
+
+
+def _convergence_exit(args, where: str, missing: list) -> int:
+    """Exit code 3 when --require-convergence is set and something did not converge."""
+    if args.require_convergence and missing:
+        detail = ", ".join(str(v) for v in missing)
+        print(f"convergence required but not reached {where}: {detail}", file=sys.stderr)
+        return _EXIT_NOT_CONVERGED
+    return 0
 
 
 def _level_names(num_levels: int) -> list[str]:
@@ -220,75 +259,48 @@ def _report_rows(report: ConvergenceReport):
 
 
 def _execute_run(args) -> int:
-    if args.phi is not None:
-        gate = entangler_gate(args.phi)
-        gate_desc = {"kind": "entangler", "phi": args.phi}
-    else:
-        lam = args.lam if args.lam is not None else _DEFAULT_LAMBDA
-        gate = canonical_gate(lam)
-        gate_desc = {"kind": "canonical", "lambda": list(lam)}
-    config = ProtocolConfig(
-        num_qubits=args.qubits,
-        fixed_gate=gate,
-        geometry=Geometry(args.geometry),
-        realizations=args.realizations,
-        max_gates=args.max_gates,
-        eval_stride=args.eval_stride,
-        seed=args.seed,
-        measures=_measures(args.measure),
-        threshold=args.threshold,
-        confirm_window=args.confirm_window,
-    )
+    config = args.config
     traj = run_ensemble(config, workers=args.workers)
     report = convergence_report(traj, config.threshold, config.confirm_window)
     if args.format == "csv":
-        lines = [f"#schema={SCHEMA}", "gate_index,measure,level,mean_E,delta_E"]
-        lines += [",".join(_fmt(v) for v in row) for row in _trajectory_rows(traj)]
-        _write_lines(args.output, lines)
+        _write_csv(args.output, (), _TRAJECTORY_HEADER, _trajectory_rows(traj))
         report_path = args.output.with_name(args.output.stem + "_report" + args.output.suffix)
-        rlines = [f"#schema={SCHEMA}", "measure,level,n_gates,decay_rate,fit_hi,fit_lo"]
-        rlines += [",".join(_fmt(v) for v in row) for row in _report_rows(report)]
-        _write_lines(report_path, rlines)
+        _write_csv(report_path, (), _REPORT_HEADER, _report_rows(report))
     else:
-        payload = {
-            "schema": SCHEMA,
-            "command": "run",
-            "config": {
-                "qubits": args.qubits,
-                "geometry": args.geometry,
-                "gate": gate_desc,
-                "realizations": args.realizations,
-                "max_gates": args.max_gates,
-                "eval_stride": args.eval_stride,
-                "seed": args.seed,
-                "measures": [m.value for m in config.measures],
-                "threshold": args.threshold,
-                "confirm_window": args.confirm_window,
+        if args.phi is not None:
+            gate_desc = {"kind": "entangler", "phi": args.phi}
+        else:
+            gate_desc = {"kind": "canonical", "lambda": list(args.lam)}
+        _write_json(
+            args.output,
+            "run",
+            {
+                "config": {
+                    "qubits": args.qubits,
+                    "geometry": args.geometry,
+                    "gate": gate_desc,
+                    "realizations": args.realizations,
+                    "max_gates": args.max_gates,
+                    "eval_stride": args.eval_stride,
+                    "seed": args.seed,
+                    "measures": [m.value for m in config.measures],
+                    "threshold": args.threshold,
+                    "confirm_window": args.confirm_window,
+                },
+                "gate_index": [int(g) for g in traj.gate_indices],
+                "series": [
+                    {
+                        "measure": measure.value,
+                        "level": name,
+                        "mean_E": [float(v) for v in traj.mean_series(measure, None if name == "global" else int(name))],
+                        "delta_E": [float(v) for v in traj.delta_series(measure, None if name == "global" else int(name))],
+                    }
+                    for measure in traj.measures
+                    for name in _level_names(traj.num_levels)
+                ],
+                "report": [dict(zip(_REPORT_HEADER, row)) for row in _report_rows(report)],
             },
-            "gate_index": [int(g) for g in traj.gate_indices],
-            "series": [
-                {
-                    "measure": measure.value,
-                    "level": name,
-                    "mean_E": [float(v) for v in traj.mean_series(measure, None if name == "global" else int(name))],
-                    "delta_E": [float(v) for v in traj.delta_series(measure, None if name == "global" else int(name))],
-                }
-                for measure in traj.measures
-                for name in _level_names(traj.num_levels)
-            ],
-            "report": [
-                {
-                    "measure": m,
-                    "level": name,
-                    "n_gates": n,
-                    "decay_rate": rate,
-                    "fit_hi": hi,
-                    "fit_lo": lo,
-                }
-                for m, name, n, rate, hi, lo in _report_rows(report)
-            ],
-        }
-        _write_json(args.output, payload)
+        )
     failed = []
     for measure in config.measures:
         e = report.entry(measure, None)
@@ -297,102 +309,53 @@ def _execute_run(args) -> int:
         print(f"{measure.value} global: {status}{rate}")
         if e.n_gates is None:
             failed.append(measure.value)
-    if args.require_convergence and failed:
-        print(f"convergence required but not reached for: {', '.join(failed)}", file=sys.stderr)
-        return _EXIT_NOT_CONVERGED
-    return 0
-
-
-def _base_config(args) -> ProtocolConfig:
-    return ProtocolConfig(
-        num_qubits=args.qubits,
-        fixed_gate=np.eye(4, dtype=complex),
-        geometry=Geometry(args.geometry),
-        realizations=args.realizations,
-        max_gates=args.max_gates,
-        eval_stride=args.eval_stride,
-        seed=args.seed,
-        measures=(Measure.LINEAR,),
-        threshold=args.threshold,
-        confirm_window=args.confirm_window,
-    )
+    return _convergence_exit(args, "for", failed)
 
 
 def _execute_sweep_phi(args) -> int:
-    table = sweep_phi(_base_config(args), args.phi_grid, omega=args.omega, workers=args.workers)
+    table = sweep_phi(args.config, args.phi_grid, omega=args.omega, workers=args.workers)
+    rows = [(r.phi, r.n_gates, r.t_phi, r.t_phys) for r in table.rows]
     if args.format == "csv":
-        lines = [
-            f"#schema={SCHEMA}",
-            f"#argmin_gates={_fmt(table.argmin_gates)}",
-            f"#argmin_time={_fmt(table.argmin_time)}",
-            "phi,n_gates,t_phi,t_phys",
-        ]
-        lines += [
-            ",".join(_fmt(v) for v in (r.phi, r.n_gates, r.t_phi, r.t_phys))
-            for r in table.rows
-        ]
-        _write_lines(args.output, lines)
+        meta = (("argmin_gates", table.argmin_gates), ("argmin_time", table.argmin_time))
+        _write_csv(args.output, meta, _SWEEP_PHI_HEADER, rows)
     else:
         _write_json(
             args.output,
+            "sweep-phi",
             {
-                "schema": SCHEMA,
-                "command": "sweep-phi",
                 "omega": args.omega,
                 "argmin_gates": table.argmin_gates,
                 "argmin_time": table.argmin_time,
-                "rows": [
-                    {"phi": r.phi, "n_gates": r.n_gates, "t_phi": r.t_phi, "t_phys": r.t_phys}
-                    for r in table.rows
-                ],
+                "rows": [dict(zip(_SWEEP_PHI_HEADER, row)) for row in rows],
             },
         )
     print(f"argmin_gates={_fmt(table.argmin_gates)} argmin_time={_fmt(table.argmin_time)}")
-    if args.require_convergence and any(r.n_gates is None for r in table.rows):
-        bad = [r.phi for r in table.rows if r.n_gates is None]
-        print(f"convergence required but not reached at phi: {bad}", file=sys.stderr)
-        return _EXIT_NOT_CONVERGED
-    return 0
+    return _convergence_exit(args, "at phi", [r.phi for r in table.rows if r.n_gates is None])
 
 
 def _execute_sweep_lambda(args) -> int:
-    rows = sweep_lambda(_base_config(args), args.lambda_grid, workers=args.workers)
+    rows = sweep_lambda(args.config, args.lambda_grid, workers=args.workers)
     if args.format == "csv":
-        lines = [f"#schema={SCHEMA}", "lambda_x,lambda_y,lambda_z,n_gates"]
-        lines += [
-            ",".join(_fmt(v) for v in (*r.lam, r.n_gates))
-            for r in rows
-        ]
-        _write_lines(args.output, lines)
+        _write_csv(args.output, (), _SWEEP_LAMBDA_HEADER, [(*r.lam, r.n_gates) for r in rows])
     else:
         _write_json(
             args.output,
-            {
-                "schema": SCHEMA,
-                "command": "sweep-lambda",
-                "rows": [{"lambda": list(r.lam), "n_gates": r.n_gates} for r in rows],
-            },
+            "sweep-lambda",
+            {"rows": [{"lambda": list(r.lam), "n_gates": r.n_gates} for r in rows]},
         )
-    if args.require_convergence and any(r.n_gates is None for r in rows):
-        bad = [r.lam[0] for r in rows if r.n_gates is None]
-        print(f"convergence required but not reached at lambda_x: {bad}", file=sys.stderr)
-        return _EXIT_NOT_CONVERGED
-    return 0
+    return _convergence_exit(args, "at lambda_x", [r.lam[0] for r in rows if r.n_gates is None])
 
 
 def _execute_baseline(args) -> int:
     table = haar_global_baseline(args.qubits, Measure(args.measure))
     if args.format == "csv":
-        lines = [f"#schema={SCHEMA}", "m,value"]
-        lines += [f"{m + 1},{_fmt(v)}" for m, v in enumerate(table.per_level)]
-        lines.append(f"global,{_fmt(table.global_value)}")
-        _write_lines(args.output, lines)
+        rows = [*enumerate(table.per_level, start=1), ("global", table.global_value)]
+        _write_csv(args.output, (), ("m", "value"), rows)
     else:
         _write_json(
             args.output,
+            "baseline",
             {
-                "schema": SCHEMA,
-                "command": "baseline",
                 "qubits": args.qubits,
                 "measure": args.measure,
                 "per_level": list(table.per_level),

@@ -56,14 +56,18 @@ class EntanglementProfile:
         return sum(self.per_level) / len(self.per_level)
 
 
+def _check_level(num_qubits: int, m: int) -> None:
+    if not 1 <= m <= num_qubits // 2:
+        raise ValueError(f"m must be in [1, {num_qubits // 2}] for {num_qubits} qubits, got {m}")
+
+
 def enumerate_bipartitions(num_qubits: int, m: int) -> list[tuple[int, ...]]:
     """All nonequivalent m-qubit subsets of an N-qubit system.
 
     Returns C(N, m) subsets, or C(N, m)/2 when m = N/2 (one canonical
     representative per complementary pair: the subset containing qubit 0).
     """
-    if not 1 <= m <= num_qubits // 2:
-        raise ValueError(f"m must be in [1, {num_qubits // 2}] for {num_qubits} qubits, got {m}")
+    _check_level(num_qubits, m)
     combos = itertools.combinations(range(num_qubits), m)
     if 2 * m == num_qubits:
         return [c for c in combos if c[0] == 0]

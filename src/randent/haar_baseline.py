@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import Measure, _level_values
+from .entanglement import Measure, _check_level, _level_values
 from .qstate import StateVector
 
 __all__ = [
@@ -53,11 +53,6 @@ class MonteCarloEstimate:
     mean: float
     std_error: float
     samples: int
-
-
-def _check_level(num_qubits: int, m: int) -> None:
-    if not 1 <= m <= num_qubits // 2:
-        raise ValueError(f"m must be in [1, {num_qubits // 2}] for {num_qubits} qubits, got {m}")
 
 
 def lubkin_linear_baseline(num_qubits: int, m: int) -> float:
@@ -105,13 +100,23 @@ def haar_global_baseline(num_qubits: int, measure: Measure) -> BaselineTable:
     return BaselineTable(num_qubits=num_qubits, measure=measure, per_level=per_level)
 
 
-def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
-    """Haar-random pure state: normalized vector of standard complex Gaussians."""
+def _haar_amplitudes(num_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Amplitudes of count Haar-random pure states, (count, 2^N).
+
+    Each state is a normalized vector of complex Gaussians; drawing count
+    states at once consumes the stream exactly like count single draws.
+    """
     if not 1 <= num_qubits <= _MAX_SAMPLE_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {_MAX_SAMPLE_QUBITS}], got {num_qubits}")
-    w = rng.standard_normal((1 << num_qubits, 2))
-    z = w[:, 0] + 1j * w[:, 1]
-    return StateVector(num_qubits, z / np.linalg.norm(z))
+    w = rng.standard_normal((count, 1 << num_qubits, 2))
+    z = w[..., 0] + 1j * w[..., 1]
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
+
+
+def sample_haar_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
+    """Haar-random pure state: normalized vector of standard complex Gaussians."""
+    return StateVector(num_qubits, _haar_amplitudes(num_qubits, 1, rng)[0])
 
 
 def monte_carlo_baseline(
@@ -128,18 +133,13 @@ def monte_carlo_baseline(
     consumes the generator exactly like one draw per state.
     """
     _check_level(num_qubits, m)
-    if num_qubits > _MAX_SAMPLE_QUBITS:
-        raise ValueError(f"num_qubits must be <= {_MAX_SAMPLE_QUBITS} for sampling")
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
-    dim = 1 << num_qubits
     values = np.empty(samples)
     done = 0
     while done < samples:
         b = min(chunk, samples - done)
-        w = rng.standard_normal((b, dim, 2))
-        z = w[..., 0] + 1j * w[..., 1]
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z = _haar_amplitudes(num_qubits, b, rng)
         values[done : done + b] = _level_values(z, num_qubits, m, (measure,))[:, 0]
         done += b
     std = float(values.std(ddof=1))

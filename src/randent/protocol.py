@@ -17,7 +17,14 @@ import numpy as np
 
 from .entanglement import Measure, _profile_values
 from .haar_baseline import baseline_level
-from .qstate import StateVector, _orthonormalize_columns, rng_stream, sample_haar_u2
+from .qstate import (
+    MAX_QUBITS,
+    StateVector,
+    _apply_pair_batch,
+    _complex_gaussian,
+    _orthonormalize_columns,
+    rng_stream,
+)
 
 __all__ = [
     "Geometry",
@@ -34,8 +41,6 @@ __all__ = [
     "fit_decay_rate",
     "convergence_report",
 ]
-
-_INV_SQRT2 = 2.0 ** -0.5
 
 # Cap on per-batch amplitude memory (complex128 entries).
 _BATCH_ENTRIES = 1 << 22
@@ -63,12 +68,13 @@ class ProtocolConfig:
     confirm_window: int = 10
 
     def __post_init__(self):
-        if not 2 <= self.num_qubits <= 24:
-            raise ValueError(f"num_qubits must be in [2, 24], got {self.num_qubits}")
+        if not 2 <= self.num_qubits <= MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in [2, {MAX_QUBITS}], got {self.num_qubits}")
         gate = np.asarray(self.fixed_gate, dtype=complex)
         if gate.shape != (4, 4):
             raise ValueError(f"fixed_gate must be 4x4, got shape {gate.shape}")
-        if np.max(np.abs(gate.conj().T @ gate - np.eye(4))) > 1e-12:
+        # Written so that a NaN deviation fails too.
+        if not np.max(np.abs(gate.conj().T @ gate - np.eye(4))) <= 1e-12:
             raise ValueError("fixed_gate is not unitary")
         object.__setattr__(self, "fixed_gate", gate)
         if self.realizations < 1:
@@ -77,6 +83,8 @@ class ProtocolConfig:
             raise ValueError(f"max_gates must be >= 0, got {self.max_gates}")
         if self.eval_stride < 1:
             raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.measures:
             raise ValueError("measures must be nonempty")
         object.__setattr__(self, "measures", tuple(self.measures))
@@ -104,46 +112,38 @@ def pick_pair(geometry: Geometry, num_qubits: int, rng: np.random.Generator) -> 
     return k, (k + 1) % n
 
 
+def _draw_steps(geometry: Geometry, num_qubits: int, rngs, gate: np.ndarray):
+    """Draws of one protocol step for each stream: pairs (ii, jj), (V_i (x) V_j) @ gate.
+
+    Each stream gives one pick_pair draw, then one block of normals covering
+    V_i then V_j, in the same order as two consecutive sample_haar_u2 draws.
+    """
+    b = len(rngs)
+    ii = np.empty(b, dtype=np.int64)
+    jj = np.empty(b, dtype=np.int64)
+    z = np.empty((b, 2, 2, 2, 2))
+    for r, rng in enumerate(rngs):
+        ii[r], jj[r] = pick_pair(geometry, num_qubits, rng)
+        z[r] = rng.standard_normal((2, 2, 2, 2))
+    v = _orthonormalize_columns(_complex_gaussian(z))
+    kron = np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
+    return ii, jj, kron @ gate
+
+
 def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -> StateVector:
-    """One protocol step: fixed gate on a drawn pair, then fresh V_i and V_j."""
-    i, j = pick_pair(config.geometry, state.num_qubits, rng)
-    state.apply_two(config.fixed_gate, i, j)
-    state.apply_single(sample_haar_u2(rng), i)
-    state.apply_single(sample_haar_u2(rng), j)
+    """One protocol step: fixed gate on a drawn pair, then fresh V_i and V_j.
+
+    A batch of one through the ensemble engine's draw and kernel.
+    """
+    n = state.num_qubits
+    ii, jj, mats = _draw_steps(config.geometry, n, [rng], config.fixed_gate)
+    _apply_pair_batch(state.amplitudes[np.newaxis], n, ii, jj, mats)
     return state
 
 
 def record_gate_indices(config: ProtocolConfig) -> np.ndarray:
     """Gate counts at which entanglement is recorded: 0, stride, 2*stride, ..."""
     return np.arange(0, config.max_gates + 1, config.eval_stride, dtype=np.int64)
-
-
-def _apply_pair_batch(amps, num_qubits, ii, jj, mats):
-    """Apply per-realization 4x4 gates to per-realization target pairs, in place.
-
-    Rows are grouped by pair so each group is one batched matmul; per-row
-    arithmetic does not depend on the grouping or the batch size.
-    """
-    n = num_qubits
-    codes = ii * n + jj
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    cuts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-    starts = np.concatenate(([0], cuts, [codes.size]))
-    for a, b in zip(starts[:-1], starts[1:]):
-        rows = order[a:b]
-        i = int(ii[rows[0]])
-        j = int(jj[rows[0]])
-        ax_i = 1 + (n - 1 - i)
-        ax_j = 1 + (n - 1 - j)
-        block = amps[rows].reshape((rows.size,) + (2,) * n)
-        block = np.moveaxis(block, (ax_i, ax_j), (1, 2))
-        rest = block.shape[3:]
-        block = block.reshape(rows.size, 4, -1)
-        block = mats[rows] @ block
-        block = block.reshape((rows.size, 2, 2) + rest)
-        block = np.moveaxis(block, (1, 2), (ax_i, ax_j))
-        amps[rows] = block.reshape(rows.size, -1)
 
 
 def _run_batch(config: ProtocolConfig, indices) -> np.ndarray:
@@ -181,19 +181,9 @@ def _run_chunk(config: ProtocolConfig, indices: list[int], rec: np.ndarray) -> n
     if rec.size and rec[0] == 0:
         out[:, 0] = _profile_values(amps, n, config.measures)
         pos = 1
-    gate = config.fixed_gate
-    ii = np.empty(b, dtype=np.int64)
-    jj = np.empty(b, dtype=np.int64)
-    z = np.empty((b, 2, 2, 2, 2))
     for g in range(1, config.max_gates + 1):
-        for r, rng in enumerate(rngs):
-            ii[r], jj[r] = pick_pair(config.geometry, n, rng)
-            # One draw covering V_i then V_j; fills in the same order as two
-            # consecutive sample_haar_u2 draws from the same stream.
-            z[r] = rng.standard_normal((2, 2, 2, 2))
-        v = _orthonormalize_columns((z[..., 0] + 1j * z[..., 1]) * _INV_SQRT2)
-        kron = np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
-        _apply_pair_batch(amps, n, ii, jj, kron @ gate)
+        ii, jj, mats = _draw_steps(config.geometry, n, rngs, config.fixed_gate)
+        _apply_pair_batch(amps, n, ii, jj, mats)
         if pos < rec.size and g == rec[pos]:
             out[:, pos] = _profile_values(amps, n, config.measures)
             pos += 1
@@ -306,6 +296,8 @@ def convergence_gate_count(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if confirm_window < 0:
+        raise ValueError(f"confirm_window must be >= 0, got {confirm_window}")
     delta = traj.delta_series(measure, level)
     ok = delta <= threshold
     run_length = 0

@@ -23,10 +23,10 @@ __all__ = [
 
 MAX_QUBITS = 24
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
 # Bell basis columns: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2,
-# (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.
+# (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.  The entries are 1 / math.sqrt(2.0),
+# one ulp below _GINIBRE_SCALE; each constant fixes output bits, so the two
+# stay distinct.
 _BELL = np.array(
     [
         [1.0, 1.0, 0.0, 0.0],
@@ -34,7 +34,9 @@ _BELL = np.array(
         [0.0, 0.0, 1.0, -1.0],
         [1.0, -1.0, 0.0, 0.0],
     ]
-) * _INV_SQRT2
+) / math.sqrt(2.0)
+
+_GINIBRE_SCALE = 2.0 ** -0.5
 
 
 def rng_stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -100,7 +102,8 @@ class StateVector:
     def apply_two(self, gate, qubit_i: int, qubit_j: int) -> "StateVector":
         """Apply a 4x4 unitary to (qubit_i, qubit_j); qubit_i is the high bit.
 
-        In place, stride-based index pairing: O(2^N) work, no dense embedding.
+        In place, O(2^N) work, no dense embedding: a batch of one through
+        the ensemble engine's kernel.
         """
         g = np.asarray(gate, dtype=complex)
         if g.shape != (4, 4):
@@ -110,34 +113,43 @@ class StateVector:
             raise ValueError("two-qubit gate targets must differ")
         if not (0 <= qubit_i < n and 0 <= qubit_j < n):
             raise ValueError(f"qubit pair ({qubit_i}, {qubit_j}) out of range for {n} qubits")
-        base = _pair_base_indices(n, qubit_i, qubit_j)
-        hi = 1 << qubit_i
-        lo = 1 << qubit_j
-        amp = self.amplitudes
-        a0 = amp[base]
-        a1 = amp[base + lo]
-        a2 = amp[base + hi]
-        a3 = amp[base + hi + lo]
-        amp[base] = g[0, 0] * a0 + g[0, 1] * a1 + g[0, 2] * a2 + g[0, 3] * a3
-        amp[base + lo] = g[1, 0] * a0 + g[1, 1] * a1 + g[1, 2] * a2 + g[1, 3] * a3
-        amp[base + hi] = g[2, 0] * a0 + g[2, 1] * a1 + g[2, 2] * a2 + g[2, 3] * a3
-        amp[base + hi + lo] = g[3, 0] * a0 + g[3, 1] * a1 + g[3, 2] * a2 + g[3, 3] * a3
+        _apply_pair_batch(
+            self.amplitudes[np.newaxis], n, np.array([qubit_i]), np.array([qubit_j]), g[np.newaxis]
+        )
         return self
 
 
-def _pair_base_indices(num_qubits: int, qubit_i: int, qubit_j: int) -> np.ndarray:
-    """All amplitude indices with both target bits clear."""
-    p, q = sorted((qubit_i, qubit_j))
-    g = np.arange(1 << (num_qubits - 2), dtype=np.int64)
-    g = ((g >> p) << (p + 1)) | (g & ((1 << p) - 1))
-    g = ((g >> q) << (q + 1)) | (g & ((1 << q) - 1))
-    return g
+def _apply_pair_batch(amps, num_qubits, ii, jj, mats):
+    """Apply per-realization 4x4 gates to per-realization target pairs, in place.
+
+    Rows are grouped by pair so each group is one batched matmul; per-row
+    arithmetic does not depend on the grouping or the batch size.
+    """
+    n = num_qubits
+    codes = ii * n + jj
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    cuts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
+    starts = np.concatenate(([0], cuts, [codes.size]))
+    for a, b in zip(starts[:-1], starts[1:]):
+        rows = order[a:b]
+        i = int(ii[rows[0]])
+        j = int(jj[rows[0]])
+        ax_i = 1 + (n - 1 - i)
+        ax_j = 1 + (n - 1 - j)
+        block = amps[rows].reshape((rows.size,) + (2,) * n)
+        block = np.moveaxis(block, (ax_i, ax_j), (1, 2))
+        rest = block.shape[3:]
+        block = block.reshape(rows.size, 4, -1)
+        block = mats[rows] @ block
+        block = block.reshape((rows.size, 2, 2) + rest)
+        block = np.moveaxis(block, (1, 2), (ax_i, ax_j))
+        amps[rows] = block.reshape(rows.size, -1)
 
 
-def _ginibre_2x2(rng: np.random.Generator) -> np.ndarray:
-    """2x2 matrix of independent standard complex Gaussians."""
-    w = rng.standard_normal((2, 2, 2))
-    return (w[..., 0] + 1j * w[..., 1]) * _INV_SQRT2
+def _complex_gaussian(w: np.ndarray) -> np.ndarray:
+    """Standard complex Gaussians from real normal pairs on the last axis of w."""
+    return (w[..., 0] + 1j * w[..., 1]) * _GINIBRE_SCALE
 
 
 def _orthonormalize_columns(z: np.ndarray) -> np.ndarray:
@@ -175,7 +187,7 @@ def sample_haar_u2(rng: np.random.Generator) -> np.ndarray:
     Ginibre draw followed by column orthonormalization with the phase
     convention that fixes the triangular factor's diagonal real positive.
     """
-    return _orthonormalize_columns(_ginibre_2x2(rng))
+    return _orthonormalize_columns(_complex_gaussian(rng.standard_normal((2, 2, 2))))
 
 
 def canonical_gate(lam) -> np.ndarray:

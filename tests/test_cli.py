@@ -67,6 +67,31 @@ class TestParseArgs:
     def test_usage_exit_code(self):
         assert main(["run", "--qubits", "0"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "-1"],
+        ["run", "--lambda", "nan,0,0"],
+        ["run", "--phi", "3.5"],
+        ["run", "--confirm-window", "-1"],
+        ["sweep-phi", "--phi-grid", "0:4:1"],
+        ["sweep-phi", "--omega", "0"],
+        ["baseline", "--qubits", "25"],
+    ])
+    def test_invalid_settings_rejected(self, argv, tmp_path):
+        with pytest.raises(UsageError):
+            parse_args(argv)
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--output", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-phi", "--phi-grid", "nan:1:0.1"],
+        ["sweep-phi", "--phi-grid", "0:1:nan"],
+        ["sweep-lambda", "--lambda-grid", "0:inf:0.5"],
+    ])
+    def test_non_finite_grid_rejected(self, argv):
+        with pytest.raises(UsageError):
+            parse_args(argv)
+
 
 class TestBaselineCommand:
     def test_two_qubit_linear_csv(self, tmp_path):

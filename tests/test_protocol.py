@@ -128,17 +128,19 @@ class TestRunRealization:
             np.testing.assert_array_equal(a[meas], b[meas])
 
     def test_matches_sequential_steps(self):
-        config = make_config(num_qubits=4, max_gates=25, measures=(Measure.LINEAR, Measure.VON_NEUMANN))
-        series = run_realization(config, 1)
-        rng = rng_stream(config.seed, 1)
-        s = StateVector.basis_state(4, 0)
-        for g in range(1, 26):
-            step(s, config, rng)
-            for meas in config.measures:
-                prof = global_entanglement(s, meas)
-                np.testing.assert_allclose(
-                    series[meas][g], prof.per_level, atol=1e-12
-                )
+        # step is a batch of one through the engine's draw and kernel, so
+        # the two agree bit for bit.
+        for geometry in Geometry:
+            config = make_config(num_qubits=4, max_gates=25, geometry=geometry,
+                                 measures=(Measure.LINEAR, Measure.VON_NEUMANN))
+            series = run_realization(config, 1)
+            rng = rng_stream(config.seed, 1)
+            s = StateVector.basis_state(4, 0)
+            for g in range(1, 26):
+                step(s, config, rng)
+                for meas in config.measures:
+                    prof = global_entanglement(s, meas)
+                    np.testing.assert_array_equal(series[meas][g], prof.per_level)
 
     def test_desk_scale_convergence(self):
         config = make_config(
@@ -243,6 +245,11 @@ class TestConvergenceGateCount:
         assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=10) is None
         assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=4) == 15
 
+    def test_negative_window_rejected(self):
+        traj = synthetic_trajectory(np.ones(30))
+        with pytest.raises(ValueError):
+            convergence_gate_count(traj, Measure.LINEAR, confirm_window=-1)
+
     def test_stride_scales_reported_index(self):
         n = np.arange(150)
         traj = synthetic_trajectory(np.exp(-0.05 * 2 * n), stride=2)
@@ -300,3 +307,7 @@ def test_config_validation():
         make_config(realizations=0)
     with pytest.raises(ValueError):
         make_config(eval_stride=0)
+    with pytest.raises(ValueError):
+        make_config(seed=-1)
+    with pytest.raises(ValueError):
+        make_config(fixed_gate=np.full((4, 4), np.nan))
