@@ -8,6 +8,9 @@ that duration, which shifts the optimum away from the pure gate-count one.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .entanglement import Measure
@@ -68,7 +71,7 @@ class LambdaRow:
 def assemble_sweep_table(phis, gate_counts, omega: float = 1.0) -> SweepTable:
     """Build sweep rows and locate both optima from per-angle gate counts."""
     rows = []
-    for phi, n in zip(phis, gate_counts):
+    for phi, n in zip(phis, gate_counts, strict=True):
         t_phi = optimal_gate_time(phi, omega)
         t_phys = physical_time(n, phi, omega) if n is not None else None
         rows.append(SweepRow(phi=float(phi), n_gates=n, t_phi=t_phi, t_phys=t_phys))
@@ -78,11 +81,23 @@ def assemble_sweep_table(phis, gate_counts, omega: float = 1.0) -> SweepTable:
     return SweepTable(rows=tuple(rows), argmin_gates=argmin_gates, argmin_time=argmin_time)
 
 
-def _converged_count(config: ProtocolConfig, workers: int | None) -> int | None:
-    traj = run_ensemble(config, workers=workers)
+def _converged_count(config: ProtocolConfig) -> int | None:
+    """Confirmed gate count of the global linear measure, simulated no further than it."""
+    traj = run_ensemble(config, workers=1, until_converged=True)
     return convergence_gate_count(
         traj, Measure.LINEAR, None, config.threshold, config.confirm_window
     )
+
+
+def _converged_counts(configs: list[ProtocolConfig], workers: int | None) -> list[int | None]:
+    """Gate count of each grid point; workers spread the points, one point each."""
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = max(1, min(workers, len(configs)))
+    if workers == 1:
+        return [_converged_count(config) for config in configs]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(_converged_count, configs))
 
 
 def sweep_phi(
@@ -96,15 +111,14 @@ def sweep_phi(
     Convergence is judged on the global linear measure.  The base config's
     seed is reused at every grid point, so ensemble noise is correlated
     across angles and the argmin comparison is sharper than independent
-    seeding would give.
+    seeding would give.  Each ensemble stops at its confirmed crossing, so
+    max_gates is a cap; workers spread the grid points over processes.
     """
-    counts = []
-    for phi in phi_grid:
-        config = replace(
-            base_config, fixed_gate=entangler_gate(phi), measures=(Measure.LINEAR,)
-        )
-        counts.append(_converged_count(config, workers))
-    return assemble_sweep_table(phi_grid, counts, omega)
+    configs = [
+        replace(base_config, fixed_gate=entangler_gate(phi), measures=(Measure.LINEAR,))
+        for phi in phi_grid
+    ]
+    return assemble_sweep_table(phi_grid, _converged_counts(configs, workers), omega)
 
 
 def sweep_lambda(
@@ -117,11 +131,10 @@ def sweep_lambda(
     No duration accompanies these rows: the closed-form optimal time is
     only available for the entangler family.
     """
-    rows = []
-    for lam in lambda_grid:
-        vec = (float(lam), 0.0, 0.0)
-        config = replace(
-            base_config, fixed_gate=canonical_gate(vec), measures=(Measure.LINEAR,)
-        )
-        rows.append(LambdaRow(lam=vec, n_gates=_converged_count(config, workers)))
-    return rows
+    vecs = [(float(lam), 0.0, 0.0) for lam in lambda_grid]
+    configs = [
+        replace(base_config, fixed_gate=canonical_gate(vec), measures=(Measure.LINEAR,))
+        for vec in vecs
+    ]
+    counts = _converged_counts(configs, workers)
+    return [LambdaRow(lam=vec, n_gates=n) for vec, n in zip(vecs, counts, strict=True)]

@@ -41,6 +41,9 @@ _REPORT_HEADER = ("measure", "level", "n_gates", "decay_rate", "fit_hi", "fit_lo
 _SWEEP_PHI_HEADER = ("phi", "n_gates", "t_phi", "t_phys")
 _SWEEP_LAMBDA_HEADER = ("lambda_x", "lambda_y", "lambda_z", "n_gates")
 
+# Each grid point is a whole ensemble; a longer grid is a typo in the step.
+MAX_GRID_POINTS = 10_000
+
 _EXIT_USAGE = 1
 _EXIT_IO = 2
 _EXIT_NOT_CONVERGED = 3
@@ -77,9 +80,13 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"start, stop and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"need stop >= start and step > 0, got {text!r}")
+    tol = 1e-9 * max(1.0, abs(stop))
+    # Counted before the list is built: a tiny step would otherwise grow it
+    # until memory runs out.
+    if (stop + tol - start) / step >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
     values = []
     k = 0
-    tol = 1e-9 * max(1.0, abs(stop))
     while True:
         v = start + k * step
         if v > stop + tol:

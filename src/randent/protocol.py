@@ -146,47 +146,47 @@ def record_gate_indices(config: ProtocolConfig) -> np.ndarray:
     return np.arange(0, config.max_gates + 1, config.eval_stride, dtype=np.int64)
 
 
-def _run_batch(config: ProtocolConfig, indices) -> np.ndarray:
-    """Per-realization entanglement series for the given realization indices.
+class _Chunk:
+    """Realizations simulated side by side: their streams, amplitudes and gates applied so far."""
 
-    Returns (len(indices), T, len(measures), floor(N/2)).  Realizations are
-    simulated side by side, but every per-realization value is bitwise
+    def __init__(self, config: ProtocolConfig, indices):
+        self.rngs = [rng_stream(config.seed, int(i)) for i in indices]
+        self.amps = np.zeros((len(self.rngs), 1 << config.num_qubits), dtype=complex)
+        self.amps[:, 0] = 1.0
+        self.gates = 0
+
+
+def _chunks(config: ProtocolConfig, indices):
+    """Fresh chunks over the realization indices, in order, created as they are consumed."""
+    sub = max(1, _BATCH_ENTRIES >> config.num_qubits)
+    for lo in range(0, len(indices), sub):
+        yield _Chunk(config, indices[lo : lo + sub])
+
+
+def _run_batch(config: ProtocolConfig, chunks, rec) -> np.ndarray:
+    """Advance each chunk to the recorded gates rec and stack their values in order.
+
+    Returns (realizations, len(rec), len(measures), floor(N/2)).  Realizations
+    are simulated side by side, but every per-realization value is bitwise
     identical to a batch of one: the random draws come from per-realization
     streams and the batched linear algebra has no cross-realization
-    reductions.
+    reductions.  Given a generator, chunks are created as they are consumed,
+    so their amplitudes need not all be alive at once.
     """
-    indices = [int(i) for i in indices]
-    n = config.num_qubits
-    dim = 1 << n
-    rec = record_gate_indices(config)
-    n_meas = len(config.measures)
-    levels = n // 2
-    out = np.empty((len(indices), rec.size, n_meas, levels))
-    sub = max(1, _BATCH_ENTRIES // dim)
-    for lo in range(0, len(indices), sub):
-        chunk = indices[lo : lo + sub]
-        out[lo : lo + len(chunk)] = _run_chunk(config, chunk, rec)
-    return out
+    parts = [_run_chunk(config, chunk, rec) for chunk in chunks]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _run_chunk(config: ProtocolConfig, indices: list[int], rec: np.ndarray) -> np.ndarray:
+def _run_chunk(config: ProtocolConfig, chunk: _Chunk, rec) -> np.ndarray:
+    """Step the chunk to each gate count in rec (ascending, none below chunk.gates)."""
     n = config.num_qubits
-    dim = 1 << n
-    b = len(indices)
-    rngs = [rng_stream(config.seed, i) for i in indices]
-    amps = np.zeros((b, dim), dtype=complex)
-    amps[:, 0] = 1.0
-    out = np.empty((b, rec.size, len(config.measures), n // 2))
-    pos = 0
-    if rec.size and rec[0] == 0:
-        out[:, 0] = _profile_values(amps, n, config.measures)
-        pos = 1
-    for g in range(1, config.max_gates + 1):
-        ii, jj, mats = _draw_steps(config.geometry, n, rngs, config.fixed_gate)
-        _apply_pair_batch(amps, n, ii, jj, mats)
-        if pos < rec.size and g == rec[pos]:
-            out[:, pos] = _profile_values(amps, n, config.measures)
-            pos += 1
+    out = np.empty((len(chunk.rngs), len(rec), len(config.measures), n // 2))
+    for pos, g in enumerate(rec):
+        while chunk.gates < g:
+            ii, jj, mats = _draw_steps(config.geometry, n, chunk.rngs, config.fixed_gate)
+            _apply_pair_batch(chunk.amps, n, ii, jj, mats)
+            chunk.gates += 1
+        out[:, pos] = _profile_values(chunk.amps, n, config.measures)
     return out
 
 
@@ -200,13 +200,14 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
         raise ValueError(
             f"realization_index {realization_index} out of range for R={config.realizations}"
         )
-    vals = _run_batch(config, [realization_index])[0]
+    chunks = _chunks(config, [realization_index])
+    vals = _run_batch(config, chunks, record_gate_indices(config))[0]
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
 def _ensemble_worker(args):
     config, indices = args
-    return _run_batch(config, indices)
+    return _run_batch(config, _chunks(config, indices), record_gate_indices(config))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,40 +246,99 @@ class Trajectory:
         return (baseline - self.mean_series(measure, level)) / baseline
 
 
-def run_ensemble(config: ProtocolConfig, workers: int | None = None) -> Trajectory:
+def run_ensemble(
+    config: ProtocolConfig, workers: int | None = None, *, until_converged: bool = False
+) -> Trajectory:
     """Average the per-realization series over R independent realizations.
 
     The result is bitwise independent of the worker count: workers return
     per-realization values which are reassembled in realization order
     before the mean is taken.
+
+    With until_converged (which needs workers=1), all R realizations advance
+    together, one recorded gate at a time, and the run stops at the first
+    confirmed crossing of the global linear delta, judged as
+    convergence_gate_count judges it with config.threshold and
+    config.confirm_window.  The trajectory then ends at the last gate of the
+    confirm window, and every value in it is bitwise that of the full run.
+    The R states are held at once: R * 2^N * 16 bytes.
     """
     r = config.realizations
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, r))
-    all_indices = np.arange(r)
-    if workers == 1:
-        values = _run_batch(config, all_indices)
-    else:
-        chunks = [c for c in np.array_split(all_indices, workers) if c.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_ensemble_worker, [(config, c) for c in chunks]))
-        values = np.concatenate(parts, axis=0)
-    means = values.mean(axis=0)  # (T, n_measures, levels)
-    level_means = {meas: means[:, k, :] for k, meas in enumerate(config.measures)}
+    rec = record_gate_indices(config)
     baselines = {
         meas: np.array(
             [baseline_level(config.num_qubits, m, meas) for m in range(1, config.num_qubits // 2 + 1)]
         )
         for meas in config.measures
     }
+    if until_converged:
+        if workers != 1:
+            raise ValueError(f"until_converged runs in one process; needs workers=1, got {workers}")
+        means = _means_until_converged(config, rec, baselines)
+        return _trajectory(config, means, rec[: len(means)], baselines)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    workers = max(1, min(workers, r))
+    all_indices = np.arange(r)
+    if workers == 1:
+        values = _run_batch(config, _chunks(config, all_indices), rec)
+    else:
+        chunks = [c for c in np.array_split(all_indices, workers) if c.size]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_ensemble_worker, [(config, c) for c in chunks]))
+        values = np.concatenate(parts, axis=0)
+    return _trajectory(config, values.mean(axis=0), rec, baselines)
+
+
+def _trajectory(config: ProtocolConfig, means: np.ndarray, gate_indices, baselines) -> Trajectory:
+    """Trajectory from ensemble means of shape (T, n_measures, levels)."""
     return Trajectory(
         num_qubits=config.num_qubits,
-        gate_indices=record_gate_indices(config),
+        gate_indices=gate_indices,
         measures=config.measures,
-        level_means=level_means,
+        level_means={meas: means[:, k, :] for k, meas in enumerate(config.measures)},
         baselines=baselines,
     )
+
+
+def _means_until_converged(config: ProtocolConfig, rec: np.ndarray, baselines) -> np.ndarray:
+    """Ensemble means at rec[0], rec[1], ... up to the confirmed global linear crossing."""
+    if Measure.LINEAR not in config.measures:
+        raise ValueError("until_converged judges the linear measure, which config.measures lacks")
+    chunks = list(_chunks(config, range(config.realizations)))
+    means = []
+
+    def passes():
+        for k, g in enumerate(rec):
+            vals = _run_batch(config, chunks, [g])
+            # The full run's (R, T, ...).mean(axis=0) adds realizations one by
+            # one, except when a realization holds a single number, where numpy
+            # sums pairwise.  One gate of a longer series at N = 2, 3 is such a
+            # case while the full run is not, so cumsum keeps realization order.
+            if rec.size == 1:
+                mean = vals.mean(axis=0)
+            else:
+                mean = np.cumsum(vals, axis=0)[-1] / len(vals)
+            means.append(mean[0])
+            delta = _trajectory(config, mean, rec[k : k + 1], baselines).delta_series(Measure.LINEAR)
+            yield delta[0] <= config.threshold
+
+    _first_confirmed(passes(), config.confirm_window)
+    return np.array(means)
+
+
+def _first_confirmed(passes, confirm_window: int) -> int | None:
+    """Index of the first pass that starts confirm_window + 1 consecutive passes.
+
+    The flags are consumed lazily, up to the one that closes the window, so
+    a stream that computes them stops there.
+    """
+    run = 0
+    for k, ok in enumerate(passes):
+        run = run + 1 if ok else 0
+        if run > confirm_window:
+            return k - confirm_window
+    return None
 
 
 def convergence_gate_count(
@@ -298,14 +358,7 @@ def convergence_gate_count(
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if confirm_window < 0:
         raise ValueError(f"confirm_window must be >= 0, got {confirm_window}")
-    delta = traj.delta_series(measure, level)
-    ok = delta <= threshold
-    run_length = 0
-    first = None
-    for k in range(ok.size - 1, -1, -1):
-        run_length = run_length + 1 if ok[k] else 0
-        if run_length >= confirm_window + 1:
-            first = k
+    first = _first_confirmed(traj.delta_series(measure, level) <= threshold, confirm_window)
     return int(traj.gate_indices[first]) if first is not None else None
 
 

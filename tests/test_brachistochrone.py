@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import randent.protocol
 from randent.brachistochrone import (
+    _converged_count,
     assemble_sweep_table,
     optimal_gate_time,
     physical_time,
@@ -13,6 +15,7 @@ from randent.brachistochrone import (
 )
 from randent.entanglement import Measure
 from randent.protocol import Geometry, ProtocolConfig
+from randent.qstate import entangler_gate
 
 
 def base_config(**kw):
@@ -101,6 +104,10 @@ class TestAssembleSweepTable:
         assert one.argmin_gates == two.argmin_gates
         assert one.argmin_time == two.argmin_time
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            assemble_sweep_table([0.5, 1.0, 1.5], [10, 12])
+
 
 class TestSweeps:
     def test_phi_zero_row_never_converges(self):
@@ -121,3 +128,43 @@ class TestSweeps:
         assert rows[0].lam == (0.0, 0.0, 0.0)
         assert rows[0].n_gates is None  # identity gate
         assert rows[1].n_gates is not None
+
+    def test_worker_count_does_not_change_tables(self):
+        grid = [0.0, math.pi / 4, math.pi / 2, math.pi]
+        assert sweep_phi(base_config(), grid, workers=1) == sweep_phi(base_config(), grid, workers=2)
+        lams = [0.0, math.pi / 8, math.pi / 4]
+        assert sweep_lambda(base_config(), lams, workers=1) == sweep_lambda(
+            base_config(), lams, workers=2
+        )
+
+
+class TestEarlyExit:
+    """A sweep point simulates up to its confirm window and no further."""
+
+    @pytest.fixture
+    def gate_steps(self, monkeypatch):
+        steps = []
+        kernel = randent.protocol._apply_pair_batch
+
+        def counting(amps, num_qubits, ii, jj, mats):
+            steps.append(len(ii))
+            return kernel(amps, num_qubits, ii, jj, mats)
+
+        monkeypatch.setattr(randent.protocol, "_apply_pair_batch", counting)
+        return steps
+
+    def test_converging_point_stops_at_window(self, gate_steps):
+        config = base_config(
+            num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
+            max_gates=600, seed=42, threshold=0.01, confirm_window=10,
+        )
+        n = _converged_count(config)
+        assert n is not None and n + config.confirm_window < config.max_gates
+        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations
+
+    def test_unconverged_point_runs_to_cap(self, gate_steps):
+        config = base_config(
+            num_qubits=4, fixed_gate=entangler_gate(math.pi), realizations=8, max_gates=200
+        )
+        assert _converged_count(config) is None
+        assert sum(gate_steps) == config.max_gates * config.realizations

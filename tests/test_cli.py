@@ -1,11 +1,12 @@
 """Command-line parsing, output files, round-trips, and exit codes."""
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from randent.cli import UsageError, main, parse_args
+from randent.cli import MAX_GRID_POINTS, UsageError, _parse_grid, main, parse_args
 from randent.haar_baseline import lubkin_linear_baseline
 
 FAST_RUN = ["--qubits", "3", "--realizations", "4", "--max-gates", "20", "--workers", "1"]
@@ -91,6 +92,21 @@ class TestParseArgs:
     def test_non_finite_grid_rejected(self, argv):
         with pytest.raises(UsageError):
             parse_args(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-phi", "--phi-grid", "0:1:1e-6"],
+        ["sweep-phi", "--phi-grid", "0:1:1e-12"],
+        ["sweep-lambda", "--lambda-grid", "0:0:1e-300"],
+    ])
+    def test_oversized_grid_rejected(self, argv):
+        with pytest.raises(UsageError, match="more than"):
+            parse_args(argv)
+        assert main(argv) == 1
+
+    def test_grid_point_cap(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
 
 class TestBaselineCommand:

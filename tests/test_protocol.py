@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randent.entanglement import Measure, global_entanglement
 from randent.haar_baseline import haar_global_baseline
@@ -14,11 +16,18 @@ from randent.protocol import (
     convergence_report,
     fit_decay_rate,
     pick_pair,
+    _first_confirmed,
     run_ensemble,
     run_realization,
     step,
 )
-from randent.qstate import StateVector, entangler_gate, rng_stream, sample_haar_u2
+from randent.qstate import (
+    StateVector,
+    canonical_gate,
+    entangler_gate,
+    rng_stream,
+    sample_haar_u2,
+)
 
 
 def make_config(**kw):
@@ -255,6 +264,71 @@ class TestConvergenceGateCount:
         traj = synthetic_trajectory(np.exp(-0.05 * 2 * n), stride=2)
         crossing = convergence_gate_count(traj, Measure.LINEAR, threshold=0.01)
         assert crossing == 94  # first recorded even index past 92.1
+
+
+class TestFirstConfirmed:
+    def test_stops_at_closing_flag(self):
+        flags = iter([True, False, True, True, True, False, True])
+        assert _first_confirmed(flags, confirm_window=2) == 2
+        assert list(flags) == [False, True]
+
+    def test_zero_window_takes_first_pass(self):
+        assert _first_confirmed([False, False, True], confirm_window=0) == 2
+
+    def test_no_confirmed_run(self):
+        assert _first_confirmed([True, True, False, True], confirm_window=2) is None
+
+
+_GATES = st.one_of(
+    st.just(np.eye(4, dtype=complex)),  # never entangles
+    st.just(entangler_gate(math.pi)),  # local phases only: never entangles
+    st.floats(0.1, math.pi - 0.1).map(entangler_gate),
+    st.tuples(*[st.floats(0.0, math.pi / 4)] * 3).map(canonical_gate),
+)
+
+
+class TestUntilConverged:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        num_qubits=st.integers(2, 5),
+        realizations=st.integers(1, 16),  # above 8 at N = 2, 3 meets numpy's pairwise sum
+        geometry=st.sampled_from(list(Geometry)),
+        eval_stride=st.integers(1, 3),
+        confirm_window=st.integers(0, 10),
+        max_gates=st.integers(0, 80),
+        threshold=st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+        seed=st.integers(0, 2**16),
+        gate=_GATES,
+    )
+    def test_prefix_of_full_run(self, gate, **kw):
+        config = ProtocolConfig(fixed_gate=gate, measures=(Measure.LINEAR,), **kw)
+        full = run_ensemble(config, workers=1)
+        early = run_ensemble(config, workers=1, until_converged=True)
+        want = convergence_gate_count(
+            full, Measure.LINEAR, None, config.threshold, config.confirm_window
+        )
+        got = convergence_gate_count(
+            early, Measure.LINEAR, None, config.threshold, config.confirm_window
+        )
+        assert got == want
+        t = early.gate_indices.size
+        if want is None:
+            assert t == full.gate_indices.size
+        else:
+            assert early.gate_indices[-1] == want + config.confirm_window * config.eval_stride
+        np.testing.assert_array_equal(early.gate_indices, full.gate_indices[:t])
+        np.testing.assert_array_equal(
+            early.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][:t]
+        )
+
+    def test_needs_one_worker(self):
+        with pytest.raises(ValueError):
+            run_ensemble(make_config(), workers=2, until_converged=True)
+
+    def test_needs_linear_measure(self):
+        config = make_config(measures=(Measure.VON_NEUMANN,))
+        with pytest.raises(ValueError):
+            run_ensemble(config, workers=1, until_converged=True)
 
 
 class TestFitDecayRate:
