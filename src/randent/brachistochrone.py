@@ -8,7 +8,6 @@ that duration, which shifts the optimum away from the pure gate-count one.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -81,23 +80,28 @@ def assemble_sweep_table(phis, gate_counts, omega: float = 1.0) -> SweepTable:
     return SweepTable(rows=tuple(rows), argmin_gates=argmin_gates, argmin_time=argmin_time)
 
 
-def _converged_count(config: ProtocolConfig) -> int | None:
-    """Confirmed gate count of the global linear measure, simulated no further than it."""
-    traj = run_ensemble(config, workers=1, until_converged=True)
+def _converged_count(config: ProtocolConfig, workers: int = 1) -> int | None:
+    """Confirmed gate count of the global linear measure; see run_ensemble's until_converged."""
+    traj = run_ensemble(config, workers, until_converged=True)
     return convergence_gate_count(
         traj, Measure.LINEAR, None, config.threshold, config.confirm_window
     )
 
 
 def _converged_counts(configs: list[ProtocolConfig], workers: int | None) -> list[int | None]:
-    """Gate count of each grid point; workers spread the points, one point each."""
+    """Gate count of each grid point.
+
+    With at least as many points as workers, the points are spread over the
+    workers, each simulated in one process up to its crossing.  With fewer,
+    each point in turn spreads its realizations over the workers, as run
+    does, and is simulated in full.
+    """
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(configs)))
-    if workers == 1:
-        return [_converged_count(config) for config in configs]
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(_converged_count, configs))
+    if workers > 1 and len(configs) >= workers:
+        with ProcessPoolExecutor(workers) as pool:
+            return list(pool.map(_converged_count, configs))
+    return [_converged_count(config, workers) for config in configs]
 
 
 def sweep_phi(
@@ -111,8 +115,9 @@ def sweep_phi(
     Convergence is judged on the global linear measure.  The base config's
     seed is reused at every grid point, so ensemble noise is correlated
     across angles and the argmin comparison is sharper than independent
-    seeding would give.  Each ensemble stops at its confirmed crossing, so
-    max_gates is a cap; workers spread the grid points over processes.
+    seeding would give.  A grid point not converged by max_gates has no
+    gate count; see _converged_counts for where its ensemble stops and how
+    workers are used.
     """
     configs = [
         replace(base_config, fixed_gate=entangler_gate(phi), measures=(Measure.LINEAR,))

@@ -255,14 +255,16 @@ def run_ensemble(
     per-realization values which are reassembled in realization order
     before the mean is taken.
 
-    With until_converged (which needs workers=1), all R realizations advance
-    together, one recorded gate at a time, and the run stops at the first
-    confirmed crossing of the global linear delta, judged as
-    convergence_gate_count judges it with config.threshold and
-    config.confirm_window.  The trajectory then ends at the last gate of the
-    confirm window, and every value in it is bitwise that of the full run.
-    The R states are held at once: R * 2^N * 16 bytes.
+    With until_converged the trajectory ends at the last gate of the confirm
+    window of the first confirmed crossing of the global linear delta, judged
+    as convergence_gate_count judges it with config.threshold and
+    config.confirm_window; it is bitwise that prefix of the full run.  In one
+    process, and when the R states fit in one batch (R * 2^N amplitudes at
+    most 2^22), all realizations advance together, one recorded gate at a
+    time, and stop there; otherwise the full run is cut.
     """
+    if until_converged and Measure.LINEAR not in config.measures:
+        raise ValueError("until_converged judges the linear measure, which config.measures lacks")
     r = config.realizations
     rec = record_gate_indices(config)
     baselines = {
@@ -271,14 +273,12 @@ def run_ensemble(
         )
         for meas in config.measures
     }
-    if until_converged:
-        if workers != 1:
-            raise ValueError(f"until_converged runs in one process; needs workers=1, got {workers}")
-        means = _means_until_converged(config, rec, baselines)
-        return _trajectory(config, means, rec[: len(means)], baselines)
     if workers is None:
         workers = os.cpu_count() or 1
     workers = max(1, min(workers, r))
+    if until_converged and workers == 1 and (r << config.num_qubits) <= _BATCH_ENTRIES:
+        means = _means_until_converged(config, rec, baselines)
+        return _trajectory(config, means, rec[: len(means)], baselines)
     all_indices = np.arange(r)
     if workers == 1:
         values = _run_batch(config, _chunks(config, all_indices), rec)
@@ -287,7 +287,14 @@ def run_ensemble(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_ensemble_worker, [(config, c) for c in chunks]))
         values = np.concatenate(parts, axis=0)
-    return _trajectory(config, values.mean(axis=0), rec, baselines)
+    means = values.mean(axis=0)
+    if until_converged:
+        passes = _linear_delta(config, means, baselines) <= config.threshold
+        first = _first_confirmed(passes, config.confirm_window)
+        if first is not None:
+            end = first + config.confirm_window + 1
+            means, rec = means[:end], rec[:end]
+    return _trajectory(config, means, rec, baselines)
 
 
 def _trajectory(config: ProtocolConfig, means: np.ndarray, gate_indices, baselines) -> Trajectory:
@@ -301,15 +308,20 @@ def _trajectory(config: ProtocolConfig, means: np.ndarray, gate_indices, baselin
     )
 
 
+def _linear_delta(config: ProtocolConfig, means: np.ndarray, baselines) -> np.ndarray:
+    """Global linear delta of ensemble means (T, n_measures, levels), as Trajectory computes it."""
+    baseline = float(baselines[Measure.LINEAR].mean())
+    level_means = means[:, config.measures.index(Measure.LINEAR), :]
+    return (baseline - level_means.mean(axis=1)) / baseline
+
+
 def _means_until_converged(config: ProtocolConfig, rec: np.ndarray, baselines) -> np.ndarray:
     """Ensemble means at rec[0], rec[1], ... up to the confirmed global linear crossing."""
-    if Measure.LINEAR not in config.measures:
-        raise ValueError("until_converged judges the linear measure, which config.measures lacks")
     chunks = list(_chunks(config, range(config.realizations)))
     means = []
 
     def passes():
-        for k, g in enumerate(rec):
+        for g in rec:
             vals = _run_batch(config, chunks, [g])
             # The full run's (R, T, ...).mean(axis=0) adds realizations one by
             # one, except when a realization holds a single number, where numpy
@@ -320,8 +332,7 @@ def _means_until_converged(config: ProtocolConfig, rec: np.ndarray, baselines) -
             else:
                 mean = np.cumsum(vals, axis=0)[-1] / len(vals)
             means.append(mean[0])
-            delta = _trajectory(config, mean, rec[k : k + 1], baselines).delta_series(Measure.LINEAR)
-            yield delta[0] <= config.threshold
+            yield _linear_delta(config, mean, baselines)[0] <= config.threshold
 
     _first_confirmed(passes(), config.confirm_window)
     return np.array(means)

@@ -136,6 +136,10 @@ class TestSweeps:
         assert sweep_lambda(base_config(), lams, workers=1) == sweep_lambda(
             base_config(), lams, workers=2
         )
+        # Fewer points than workers: each point pools its realizations.
+        assert sweep_phi(base_config(), grid[1:2], workers=1) == sweep_phi(
+            base_config(), grid[1:2], workers=2
+        )
 
 
 class TestEarlyExit:
@@ -161,6 +165,17 @@ class TestEarlyExit:
         n = _converged_count(config)
         assert n is not None and n + config.confirm_window < config.max_gates
         assert sum(gate_steps) == (n + config.confirm_window) * config.realizations
+
+    def test_point_above_one_batch_runs_in_full(self, gate_steps, monkeypatch):
+        config = base_config(
+            num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
+            max_gates=600, seed=42, threshold=0.01, confirm_window=10,
+        )
+        n = _converged_count(config)
+        gate_steps.clear()
+        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (50 << 4) - 1)
+        assert _converged_count(config) == n
+        assert sum(gate_steps) == config.max_gates * config.realizations
 
     def test_unconverged_point_runs_to_cap(self, gate_steps):
         config = base_config(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randent.protocol
 from randent.entanglement import Measure, global_entanglement
 from randent.haar_baseline import haar_global_baseline
 from randent.protocol import (
@@ -321,9 +322,22 @@ class TestUntilConverged:
             early.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][:t]
         )
 
-    def test_needs_one_worker(self):
-        with pytest.raises(ValueError):
-            run_ensemble(make_config(), workers=2, until_converged=True)
+    @pytest.mark.parametrize("window", [0, 3])
+    def test_pooled_and_batched_runs_are_cut_alike(self, monkeypatch, window):
+        config = make_config(
+            num_qubits=4, realizations=6, max_gates=120, threshold=0.05, confirm_window=window
+        )
+        streamed = run_ensemble(config, workers=1, until_converged=True)
+        assert streamed.gate_indices.size < config.max_gates + 1
+        pooled = run_ensemble(config, workers=2, until_converged=True)
+        # R states above one batch are not held at once: the run goes in full.
+        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (6 << 4) - 1)
+        batched = run_ensemble(config, workers=1, until_converged=True)
+        for other in (pooled, batched):
+            np.testing.assert_array_equal(other.gate_indices, streamed.gate_indices)
+            np.testing.assert_array_equal(
+                other.level_means[Measure.LINEAR], streamed.level_means[Measure.LINEAR]
+            )
 
     def test_needs_linear_measure(self):
         config = make_config(measures=(Measure.VON_NEUMANN,))
