@@ -81,7 +81,10 @@ def assemble_sweep_table(phis, gate_counts, omega: float = 1.0) -> SweepTable:
 
 
 def _converged_count(config: ProtocolConfig, workers: int = 1) -> int | None:
-    """Confirmed gate count of the global linear measure; see run_ensemble's until_converged."""
+    """Confirmed gate count of the global linear measure.
+
+    run_ensemble's until_converged ends the trajectory as its confirm window closes.
+    """
     traj = run_ensemble(config, workers, until_converged=True)
     return convergence_gate_count(
         traj, Measure.LINEAR, None, config.threshold, config.confirm_window

@@ -85,6 +85,8 @@ def _parse_grid(text: str) -> list[float]:
     # until memory runs out.
     if (stop + tol - start) / step >= MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    if step <= tol:
+        raise argparse.ArgumentTypeError(f"step must exceed {tol!r}, or stop repeats; got {text!r}")
     values = []
     k = 0
     while True:

@@ -224,21 +224,25 @@ class Trajectory:
     def num_levels(self) -> int:
         return self.num_qubits // 2
 
+    def _column(self, level: int) -> int:
+        """Column of a level in the per-level arrays."""
+        if not 1 <= level <= self.num_levels:
+            raise ValueError(f"level must be in [1, {self.num_levels}] or None, got {level}")
+        return level - 1
+
     def baseline_value(self, measure: Measure, level: int | None = None) -> float:
         """Haar baseline for one level, or the global mean when level is None."""
         table = self.baselines[measure]
         if level is None:
             return float(table.mean())
-        return float(table[level - 1])
+        return float(table[self._column(level)])
 
     def mean_series(self, measure: Measure, level: int | None = None) -> np.ndarray:
         """Ensemble mean <E> at each recorded gate count."""
         means = self.level_means[measure]
         if level is None:
             return means.mean(axis=1)
-        if not 1 <= level <= self.num_levels:
-            raise ValueError(f"level must be in [1, {self.num_levels}] or None, got {level}")
-        return means[:, level - 1]
+        return means[:, self._column(level)]
 
     def delta_series(self, measure: Measure, level: int | None = None) -> np.ndarray:
         """Normalized distance to saturation, (E_haar - <E>) / E_haar."""
@@ -251,21 +255,15 @@ def run_ensemble(
 ) -> Trajectory:
     """Average the per-realization series over R independent realizations.
 
-    The result is bitwise independent of the worker count: workers return
-    per-realization values which are reassembled in realization order
-    before the mean is taken.
-
-    With until_converged the trajectory ends at the last gate of the confirm
-    window of the first confirmed crossing of the global linear delta, judged
-    as convergence_gate_count judges it with config.threshold and
-    config.confirm_window; it is bitwise that prefix of the full run.  In one
-    process, and when the R states fit in one batch (R * 2^N amplitudes at
-    most 2^22), all realizations advance together, one recorded gate at a
-    time, and stop there; otherwise the full run is cut.
+    The result is bitwise independent of the worker count; see
+    _ensemble_means.  With until_converged the trajectory ends at the last
+    gate of the confirm window of the first confirmed crossing of the global
+    linear delta, judged as convergence_gate_count judges it with
+    config.threshold and config.confirm_window: bitwise that prefix of the
+    full run, and where the means come gate by gate, no gate past it is run.
     """
     if until_converged and Measure.LINEAR not in config.measures:
         raise ValueError("until_converged judges the linear measure, which config.measures lacks")
-    r = config.realizations
     rec = record_gate_indices(config)
     baselines = {
         meas: np.array(
@@ -275,67 +273,61 @@ def run_ensemble(
     }
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, r))
-    if until_converged and workers == 1 and (r << config.num_qubits) <= _BATCH_ENTRIES:
-        means = _means_until_converged(config, rec, baselines)
-        return _trajectory(config, means, rec[: len(means)], baselines)
-    all_indices = np.arange(r)
-    if workers == 1:
-        values = _run_batch(config, _chunks(config, all_indices), rec)
-    else:
-        chunks = [c for c in np.array_split(all_indices, workers) if c.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_ensemble_worker, [(config, c) for c in chunks]))
-        values = np.concatenate(parts, axis=0)
-    means = values.mean(axis=0)
+    workers = max(1, min(workers, config.realizations))
+    means = _ensemble_means(config, workers, rec)
     if until_converged:
-        passes = _linear_delta(config, means, baselines) <= config.threshold
-        first = _first_confirmed(passes, config.confirm_window)
-        if first is not None:
-            end = first + config.confirm_window + 1
-            means, rec = means[:end], rec[:end]
-    return _trajectory(config, means, rec, baselines)
-
-
-def _trajectory(config: ProtocolConfig, means: np.ndarray, gate_indices, baselines) -> Trajectory:
-    """Trajectory from ensemble means of shape (T, n_measures, levels)."""
+        means = _until_confirmed(config, means, baselines)
+    means = np.array(list(means))
     return Trajectory(
         num_qubits=config.num_qubits,
-        gate_indices=gate_indices,
+        gate_indices=rec[: len(means)],
         measures=config.measures,
         level_means={meas: means[:, k, :] for k, meas in enumerate(config.measures)},
         baselines=baselines,
     )
 
 
-def _linear_delta(config: ProtocolConfig, means: np.ndarray, baselines) -> np.ndarray:
-    """Global linear delta of ensemble means (T, n_measures, levels), as Trajectory computes it."""
+def _ensemble_means(config: ProtocolConfig, workers: int, rec):
+    """Ensemble means (n_measures, levels) at each recorded gate in rec, in order.
+
+    In one process, when the R states fit in one batch, the chunk advances
+    one recorded gate per mean, so a consumer that stops early runs no
+    further gate; otherwise the full run is made.  Both sum realizations in
+    index order, as the full run's (R, T, ...).mean(axis=0) does; mean would
+    sum a one-gate slice (R, 1, 1) pairwise, hence the cumsum.  (The full
+    run sums pairwise too when rec is [0] alone, where every value is 0.0.)
+    """
+    r = config.realizations
+    if workers == 1 and (r << config.num_qubits) <= _BATCH_ENTRIES:
+        chunks = [_Chunk(config, range(r))]
+        for g in rec:
+            vals = _run_batch(config, chunks, [g])[:, 0]
+            yield np.cumsum(vals, axis=0)[-1] / r
+        return
+    all_indices = np.arange(r)
+    if workers == 1:
+        values = _run_batch(config, _chunks(config, all_indices), rec)
+    else:
+        parts = [c for c in np.array_split(all_indices, workers) if c.size]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            values = np.concatenate(list(pool.map(_ensemble_worker, [(config, c) for c in parts])))
+    yield from values.mean(axis=0)
+
+
+def _until_confirmed(config: ProtocolConfig, means, baselines) -> list[np.ndarray]:
+    """Means consumed up to the one that closes the confirmed global linear crossing."""
     baseline = float(baselines[Measure.LINEAR].mean())
-    level_means = means[:, config.measures.index(Measure.LINEAR), :]
-    return (baseline - level_means.mean(axis=1)) / baseline
-
-
-def _means_until_converged(config: ProtocolConfig, rec: np.ndarray, baselines) -> np.ndarray:
-    """Ensemble means at rec[0], rec[1], ... up to the confirmed global linear crossing."""
-    chunks = list(_chunks(config, range(config.realizations)))
-    means = []
+    k = config.measures.index(Measure.LINEAR)
+    kept = []
 
     def passes():
-        for g in rec:
-            vals = _run_batch(config, chunks, [g])
-            # The full run's (R, T, ...).mean(axis=0) adds realizations one by
-            # one, except when a realization holds a single number, where numpy
-            # sums pairwise.  One gate of a longer series at N = 2, 3 is such a
-            # case while the full run is not, so cumsum keeps realization order.
-            if rec.size == 1:
-                mean = vals.mean(axis=0)
-            else:
-                mean = np.cumsum(vals, axis=0)[-1] / len(vals)
-            means.append(mean[0])
-            yield _linear_delta(config, mean, baselines)[0] <= config.threshold
+        for mean in means:
+            kept.append(mean)
+            # Trajectory.delta_series's expression for one gate.
+            yield (baseline - mean[k].mean()) / baseline <= config.threshold
 
     _first_confirmed(passes(), config.confirm_window)
-    return np.array(means)
+    return kept
 
 
 def _first_confirmed(passes, confirm_window: int) -> int | None:

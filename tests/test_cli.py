@@ -54,6 +54,7 @@ class TestParseArgs:
     def test_grid_parsing(self):
         args = parse_args(["sweep-phi", "--phi-grid", "0.5:1.5:0.5"])
         assert args.phi_grid == [0.5, 1.0, 1.5]
+        assert _parse_grid("0.5:0.5:0.1") == [0.5]
 
     def test_default_phi_grid(self):
         args = parse_args(["sweep-phi"])
@@ -76,6 +77,8 @@ class TestParseArgs:
         ["sweep-phi", "--phi-grid", "0:4:1"],
         ["sweep-phi", "--omega", "0"],
         ["baseline", "--qubits", "25"],
+        ["sweep-phi", "--phi-grid", "0:0:1e-9"],
+        ["sweep-lambda", "--lambda-grid", "2:2:1e-9"],
     ])
     def test_invalid_settings_rejected(self, argv, tmp_path):
         with pytest.raises(UsageError):
