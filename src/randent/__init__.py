@@ -5,57 +5,13 @@ multipartite entanglement under linear and von Neumann measures against
 exact Haar-average baselines, and contrasts the gate count needed for
 convergence with the total physical time under time-optimal gate
 durations.
+
+Each module's ``__all__`` is its public API; the package re-exports all but cli's.
 """
-from .brachistochrone import (
-    LambdaRow,
-    SweepRow,
-    SweepTable,
-    assemble_sweep_table,
-    optimal_gate_time,
-    physical_time,
-    sweep_lambda,
-    sweep_phi,
-)
-from .entanglement import (
-    EntanglementProfile,
-    Measure,
-    SpectrumError,
-    enumerate_bipartitions,
-    global_entanglement,
-    level_entanglement,
-    linear_entropy,
-    reduced_density_matrix,
-    von_neumann_entropy,
-)
-from .haar_baseline import (
-    BaselineTable,
-    MonteCarloEstimate,
-    haar_global_baseline,
-    lubkin_linear_baseline,
-    monte_carlo_baseline,
-    page_vn_baseline,
-    sample_haar_state,
-)
-from .protocol import (
-    ConvergenceEntry,
-    ConvergenceReport,
-    Geometry,
-    ProtocolConfig,
-    Trajectory,
-    convergence_gate_count,
-    convergence_report,
-    fit_decay_rate,
-    pick_pair,
-    run_ensemble,
-    run_realization,
-    step,
-)
-from .qstate import (
-    StateVector,
-    canonical_gate,
-    entangler_gate,
-    rng_stream,
-    sample_haar_u2,
-)
+from .brachistochrone import *
+from .entanglement import *
+from .haar_baseline import *
+from .protocol import *
+from .qstate import *
 
 __version__ = "0.1.0"

@@ -33,17 +33,23 @@ def optimal_gate_time(phi: float, omega: float = 1.0) -> float:
     phi = float(phi)
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi must be in [0, pi], got {phi!r}")
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
     x = phi / math.pi
-    return math.pi * math.sqrt(x * (1.0 - x / 2.0)) / omega
+    t = math.pi * math.sqrt(x * (1.0 - x / 2.0)) / omega
+    if not math.isfinite(t):
+        raise ValueError(f"gate time at phi={phi!r}, omega={omega!r} is not finite")
+    return t
 
 
 def physical_time(n_gates: int, phi: float, omega: float = 1.0) -> float:
     """Total run duration: gate count times the optimal per-gate time."""
     if n_gates < 0:
         raise ValueError(f"n_gates must be >= 0, got {n_gates}")
-    return n_gates * optimal_gate_time(phi, omega)
+    t = n_gates * optimal_gate_time(phi, omega)
+    if not math.isfinite(t):
+        raise ValueError(f"time of {n_gates} gates at phi={phi!r}, omega={omega!r} is not finite")
+    return t
 
 
 @dataclass(frozen=True)
@@ -91,14 +97,16 @@ def _converged_count(config: ProtocolConfig, workers: int = 1) -> int | None:
     )
 
 
-def _converged_counts(configs: list[ProtocolConfig], workers: int | None) -> list[int | None]:
-    """Gate count of each grid point.
+def _converged_counts(base_config: ProtocolConfig, gates, workers: int | None) -> list[int | None]:
+    """Gate count of the global linear measure at each grid point, one per fixed gate.
 
-    With at least as many points as workers, the points are spread over the
-    workers, each simulated in one process up to its crossing.  With fewer,
-    each point in turn spreads its realizations over the workers, as run
-    does, and is simulated in full.
+    Each point's config is base_config with that gate and the linear measure
+    alone.  With at least as many points as workers, the points are spread
+    over the workers, each simulated in one process up to its crossing.
+    With fewer, each point in turn spreads its realizations over the
+    workers, as run does, and is simulated in full.
     """
+    configs = [replace(base_config, fixed_gate=g, measures=(Measure.LINEAR,)) for g in gates]
     if workers is None:
         workers = os.cpu_count() or 1
     if workers > 1 and len(configs) >= workers:
@@ -122,11 +130,8 @@ def sweep_phi(
     gate count; see _converged_counts for where its ensemble stops and how
     workers are used.
     """
-    configs = [
-        replace(base_config, fixed_gate=entangler_gate(phi), measures=(Measure.LINEAR,))
-        for phi in phi_grid
-    ]
-    return assemble_sweep_table(phi_grid, _converged_counts(configs, workers), omega)
+    counts = _converged_counts(base_config, [entangler_gate(phi) for phi in phi_grid], workers)
+    return assemble_sweep_table(phi_grid, counts, omega)
 
 
 def sweep_lambda(
@@ -140,9 +145,5 @@ def sweep_lambda(
     only available for the entangler family.
     """
     vecs = [(float(lam), 0.0, 0.0) for lam in lambda_grid]
-    configs = [
-        replace(base_config, fixed_gate=canonical_gate(vec), measures=(Measure.LINEAR,))
-        for vec in vecs
-    ]
-    counts = _converged_counts(configs, workers)
+    counts = _converged_counts(base_config, [canonical_gate(vec) for vec in vecs], workers)
     return [LambdaRow(lam=vec, n_gates=n) for vec, n in zip(vecs, counts, strict=True)]

@@ -11,12 +11,13 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 
-from .brachistochrone import optimal_gate_time, sweep_lambda, sweep_phi
-from .entanglement import Measure
+from .brachistochrone import physical_time, sweep_lambda, sweep_phi
+from .entanglement import Measure, SpectrumError
 from .haar_baseline import haar_global_baseline
 from .protocol import (
     ConvergenceReport,
@@ -47,6 +48,9 @@ MAX_GRID_POINTS = 10_000
 _EXIT_USAGE = 1
 _EXIT_IO = 2
 _EXIT_NOT_CONVERGED = 3
+_EXIT_SPECTRUM = 4
+_EXIT_WORKER = 5
+_EXIT_INTERRUPTED = 130
 
 
 class UsageError(Exception):
@@ -136,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-phi", help="gate count and physical time over a phi grid")
     _add_common(p_sweep, qubits_default=6)
     _add_protocol(p_sweep)
-    p_sweep.add_argument("--phi-grid", type=_parse_grid, default=None,
+    p_sweep.add_argument("--phi-grid", type=_parse_grid, default=_DEFAULT_PHI_GRID,
                          help="start:stop:step in radians (default pi/12:11pi/12:pi/12)")
     p_sweep.add_argument("--omega", type=float, default=1.0)
 
     p_lam = sub.add_parser("sweep-lambda", help="gate count over a canonical-gate grid")
     _add_common(p_lam, qubits_default=6)
     _add_protocol(p_lam)
-    p_lam.add_argument("--lambda-grid", type=_parse_grid, default=None,
+    p_lam.add_argument("--lambda-grid", type=_parse_grid, default=_DEFAULT_LAMBDA_GRID,
                        help="start:stop:step for lambda_x (lambda_y = lambda_z = 0)")
 
     p_base = sub.add_parser("baseline", help="Haar-average entanglement table")
@@ -191,14 +195,7 @@ def _protocol_config(args) -> ProtocolConfig:
             measures = (Measure.LINEAR, Measure.VON_NEUMANN)
         else:
             measures = (Measure(args.measure),)
-    elif args.subcommand == "sweep-phi":
-        if args.phi_grid is None:
-            args.phi_grid = _parse_grid(_DEFAULT_PHI_GRID)
-        for phi in args.phi_grid:
-            optimal_gate_time(phi, args.omega)
-    elif args.lambda_grid is None:
-        args.lambda_grid = _parse_grid(_DEFAULT_LAMBDA_GRID)
-    return ProtocolConfig(
+    config = ProtocolConfig(
         num_qubits=args.qubits,
         fixed_gate=gate,
         geometry=Geometry(args.geometry),
@@ -210,6 +207,11 @@ def _protocol_config(args) -> ProtocolConfig:
         threshold=args.threshold,
         confirm_window=args.confirm_window,
     )
+    if args.subcommand == "sweep-phi":
+        # The longest time a row can report, checked before any ensemble runs.
+        for phi in args.phi_grid:
+            physical_time(config.max_gates, phi, args.omega)
+    return config
 
 
 def _fmt(value) -> str:
@@ -247,24 +249,27 @@ def _convergence_exit(args, where: str, missing: list) -> int:
     return 0
 
 
-def _level_names(num_levels: int) -> list[str]:
-    return [str(m) for m in range(1, num_levels + 1)] + ["global"]
+def _level_name(level: int | None) -> str:
+    return "global" if level is None else str(level)
+
+
+def _series(traj: Trajectory):
+    """(measure, level name, mean, delta) of each series, in Trajectory.levels order."""
+    for measure in traj.measures:
+        for level in traj.levels:
+            name = _level_name(level)
+            yield measure, name, traj.mean_series(measure, level), traj.delta_series(measure, level)
 
 
 def _trajectory_rows(traj: Trajectory):
-    for measure in traj.measures:
-        for name in _level_names(traj.num_levels):
-            level = None if name == "global" else int(name)
-            mean = traj.mean_series(measure, level)
-            delta = traj.delta_series(measure, level)
-            for k, g in enumerate(traj.gate_indices):
-                yield int(g), measure.value, name, float(mean[k]), float(delta[k])
+    for measure, name, mean, delta in _series(traj):
+        for k, g in enumerate(traj.gate_indices):
+            yield int(g), measure.value, name, float(mean[k]), float(delta[k])
 
 
 def _report_rows(report: ConvergenceReport):
     for e in report.entries:
-        name = "global" if e.level is None else str(e.level)
-        yield e.measure.value, name, e.n_gates, e.decay_rate, e.fit_hi, e.fit_lo
+        yield e.measure.value, _level_name(e.level), e.n_gates, e.decay_rate, e.fit_hi, e.fit_lo
 
 
 def _execute_run(args) -> int:
@@ -301,11 +306,10 @@ def _execute_run(args) -> int:
                     {
                         "measure": measure.value,
                         "level": name,
-                        "mean_E": [float(v) for v in traj.mean_series(measure, None if name == "global" else int(name))],
-                        "delta_E": [float(v) for v in traj.delta_series(measure, None if name == "global" else int(name))],
+                        "mean_E": [float(v) for v in mean],
+                        "delta_E": [float(v) for v in delta],
                     }
-                    for measure in traj.measures
-                    for name in _level_names(traj.num_levels)
+                    for measure, name, mean, delta in _series(traj)
                 ],
                 "report": [dict(zip(_REPORT_HEADER, row)) for row in _report_rows(report)],
             },
@@ -395,6 +399,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    except SpectrumError as exc:
+        print(f"spectrum error: {exc}", file=sys.stderr)
+        return _EXIT_SPECTRUM
+    except BrokenProcessPool as exc:
+        print(f"worker process failed: {exc}", file=sys.stderr)
+        return _EXIT_WORKER
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return _EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ a fixed-order reduction, making results independent of the worker count.
 from __future__ import annotations
 
 import enum
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -68,6 +69,13 @@ class ProtocolConfig:
     confirm_window: int = 10
 
     def __post_init__(self):
+        for name in ("num_qubits", "realizations", "max_gates", "eval_stride", "seed", "confirm_window"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        if not isinstance(self.geometry, Geometry):
+            raise ValueError(f"geometry must be a Geometry, got {self.geometry!r}")
         if not 2 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [2, {MAX_QUBITS}], got {self.num_qubits}")
         gate = np.asarray(self.fixed_gate, dtype=complex)
@@ -85,9 +93,12 @@ class ProtocolConfig:
             raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.measures:
-            raise ValueError("measures must be nonempty")
-        object.__setattr__(self, "measures", tuple(self.measures))
+        measures = self.measures
+        if not isinstance(measures, (tuple, list)) or not all(isinstance(m, Measure) for m in measures):
+            raise ValueError(f"measures must be Measure members, got {measures!r}")
+        if not measures or len(set(measures)) < len(measures):
+            raise ValueError(f"measures must be nonempty and distinct, got {measures!r}")
+        object.__setattr__(self, "measures", tuple(measures))
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.confirm_window < 0:
@@ -210,9 +221,15 @@ def _ensemble_worker(args):
     return _run_batch(config, _chunks(config, indices), record_gate_indices(config))
 
 
+def _delta(means, baselines):
+    """(E_haar - <E>) / E_haar, each averaged over the last axis: means (..., k), baselines (k,)."""
+    baseline = float(baselines.mean())
+    return (baseline - means.mean(axis=-1)) / baseline
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Ensemble-mean entanglement vs gate count, with Haar-baseline deltas."""
+    """Ensemble means and Haar deltas vs gate count per level; level None is the global mean."""
 
     num_qubits: int
     gate_indices: np.ndarray
@@ -224,30 +241,31 @@ class Trajectory:
     def num_levels(self) -> int:
         return self.num_qubits // 2
 
-    def _column(self, level: int) -> int:
-        """Column of a level in the per-level arrays."""
+    @property
+    def levels(self) -> tuple[int | None, ...]:
+        """(1, ..., num_levels, None): every level, then the global value."""
+        return (*range(1, self.num_levels + 1), None)
+
+    def _columns(self, level: int | None) -> slice:
+        """Columns averaged for a level in the per-level arrays: its own, or all of them."""
+        if level is None:
+            return slice(None)
         if not 1 <= level <= self.num_levels:
             raise ValueError(f"level must be in [1, {self.num_levels}] or None, got {level}")
-        return level - 1
+        return slice(level - 1, level)
 
     def baseline_value(self, measure: Measure, level: int | None = None) -> float:
         """Haar baseline for one level, or the global mean when level is None."""
-        table = self.baselines[measure]
-        if level is None:
-            return float(table.mean())
-        return float(table[self._column(level)])
+        return float(self.baselines[measure][self._columns(level)].mean())
 
     def mean_series(self, measure: Measure, level: int | None = None) -> np.ndarray:
         """Ensemble mean <E> at each recorded gate count."""
-        means = self.level_means[measure]
-        if level is None:
-            return means.mean(axis=1)
-        return means[:, self._column(level)]
+        return self.level_means[measure][:, self._columns(level)].mean(axis=1)
 
     def delta_series(self, measure: Measure, level: int | None = None) -> np.ndarray:
         """Normalized distance to saturation, (E_haar - <E>) / E_haar."""
-        baseline = self.baseline_value(measure, level)
-        return (baseline - self.mean_series(measure, level)) / baseline
+        cols = self._columns(level)
+        return _delta(self.level_means[measure][:, cols], self.baselines[measure][cols])
 
 
 def run_ensemble(
@@ -292,39 +310,36 @@ def _ensemble_means(config: ProtocolConfig, workers: int, rec):
 
     In one process, when the R states fit in one batch, the chunk advances
     one recorded gate per mean, so a consumer that stops early runs no
-    further gate; otherwise the full run is made.  Both sum realizations in
-    index order, as the full run's (R, T, ...).mean(axis=0) does; mean would
-    sum a one-gate slice (R, 1, 1) pairwise, hence the cumsum.  (The full
-    run sums pairwise too when rec is [0] alone, where every value is 0.0.)
+    further gate; otherwise the full run is made first.  Each gate's values
+    (R, n_measures, levels) are summed in realization order by a cumsum, so
+    every layout gives the same bits.
     """
     r = config.realizations
     if workers == 1 and (r << config.num_qubits) <= _BATCH_ENTRIES:
         chunks = [_Chunk(config, range(r))]
-        for g in rec:
-            vals = _run_batch(config, chunks, [g])[:, 0]
-            yield np.cumsum(vals, axis=0)[-1] / r
-        return
-    all_indices = np.arange(r)
-    if workers == 1:
-        values = _run_batch(config, _chunks(config, all_indices), rec)
+        per_gate = (_run_batch(config, chunks, [g])[:, 0] for g in rec)
     else:
-        parts = [c for c in np.array_split(all_indices, workers) if c.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = np.concatenate(list(pool.map(_ensemble_worker, [(config, c) for c in parts])))
-    yield from values.mean(axis=0)
+        all_indices = np.arange(r)
+        if workers == 1:
+            values = _run_batch(config, _chunks(config, all_indices), rec)
+        else:
+            parts = np.array_split(all_indices, workers)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                values = np.concatenate(list(pool.map(_ensemble_worker, [(config, c) for c in parts])))
+        per_gate = values.swapaxes(0, 1)
+    for vals in per_gate:
+        yield np.cumsum(vals, axis=0)[-1] / r
 
 
 def _until_confirmed(config: ProtocolConfig, means, baselines) -> list[np.ndarray]:
     """Means consumed up to the one that closes the confirmed global linear crossing."""
-    baseline = float(baselines[Measure.LINEAR].mean())
     k = config.measures.index(Measure.LINEAR)
     kept = []
 
     def passes():
         for mean in means:
             kept.append(mean)
-            # Trajectory.delta_series's expression for one gate.
-            yield (baseline - mean[k].mean()) / baseline <= config.threshold
+            yield _delta(mean[k], baselines[Measure.LINEAR]) <= config.threshold
 
     _first_confirmed(passes(), config.confirm_window)
     return kept
@@ -423,7 +438,7 @@ def convergence_report(
     """Convergence gate count and decay rate for every level and the global value."""
     entries = []
     for measure in traj.measures:
-        for level in [*range(1, traj.num_levels + 1), None]:
+        for level in traj.levels:
             entries.append(
                 ConvergenceEntry(
                     measure=measure,

@@ -60,6 +60,12 @@ class TestOptimalGateTime:
             optimal_gate_time(math.pi + 0.1)
         with pytest.raises(ValueError):
             optimal_gate_time(1.0, omega=0.0)
+        for omega in (math.inf, math.nan, 1e-320):
+            with pytest.raises(ValueError):
+                optimal_gate_time(1.0, omega)
+        assert math.isfinite(optimal_gate_time(1.0, 1e-306))
+        with pytest.raises(ValueError):
+            physical_time(400, 1.0, 1e-306)
 
 
 class TestPhysicalTime:

@@ -3,10 +3,16 @@ import argparse
 import json
 import math
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
+import randent
+import randent.cli
+from randent import brachistochrone, entanglement, haar_baseline, protocol, qstate
 from randent.cli import MAX_GRID_POINTS, UsageError, _parse_grid, main, parse_args
+from randent.entanglement import SpectrumError
 from randent.haar_baseline import lubkin_linear_baseline
 
 FAST_RUN = ["--qubits", "3", "--realizations", "4", "--max-gates", "20", "--workers", "1"]
@@ -79,6 +85,8 @@ class TestParseArgs:
         ["baseline", "--qubits", "25"],
         ["sweep-phi", "--phi-grid", "0:0:1e-9"],
         ["sweep-lambda", "--lambda-grid", "2:2:1e-9"],
+        ["sweep-phi", "--omega", "inf"],
+        ["sweep-phi", "--omega", "1e-320"],
     ])
     def test_invalid_settings_rejected(self, argv, tmp_path):
         with pytest.raises(UsageError):
@@ -110,6 +118,12 @@ class TestParseArgs:
         assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+
+@pytest.mark.parametrize("module", [brachistochrone, entanglement, haar_baseline, protocol, qstate])
+def test_public_names_reexported(module):
+    for name in module.__all__:
+        assert getattr(randent, name) is getattr(module, name), name
 
 
 class TestBaselineCommand:
@@ -203,6 +217,34 @@ class TestRunCommand:
                      "--require-convergence", "--output", str(out)])
         assert code == 3
         assert out.exists()  # outputs still written
+
+    @pytest.mark.parametrize("exc, code", [
+        (SpectrumError("marginal eigenvalue -0.5 below -1e-10"), 4),
+        (BrokenProcessPool("a worker process ended abruptly"), 5),
+        (KeyboardInterrupt(), 130),
+    ])
+    def test_failure_exit_codes(self, exc, code, monkeypatch, tmp_path, capsys):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(randent.cli, "run_ensemble", fail)
+        assert main(["run", *FAST_RUN, "--output", str(tmp_path / "t.csv")]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_series_order(self, tmp_path):
+        gates = 4
+        argv = ["run", "--qubits", "4", "--realizations", "2", "--max-gates", str(gates - 1),
+                "--workers", "1"]
+        main([*argv, "--output", str(tmp_path / "t.csv")])
+        main([*argv, "--format", "json", "--output", str(tmp_path / "t.json")])
+        order = [(m, level) for m in ("linear", "vonneumann") for level in ("1", "2", "global")]
+        _, rows = read_rows(tmp_path / "t.csv")
+        assert [(r[1], r[2]) for r in rows] == [key for key in order for _ in range(gates)]
+        _, rows = read_rows(tmp_path / "t_report.csv")
+        assert [(r[0], r[1]) for r in rows] == order
+        payload = json.loads((tmp_path / "t.json").read_text())
+        assert [(s["measure"], s["level"]) for s in payload["series"]] == order
+        assert [(r["measure"], r["level"]) for r in payload["report"]] == order
 
 
 class TestSweepCommands:

@@ -409,3 +409,15 @@ def test_config_validation():
         make_config(seed=-1)
     with pytest.raises(ValueError):
         make_config(fixed_gate=np.full((4, 4), np.nan))
+    # Wrong types used to run the wrong physics without an error.
+    with pytest.raises(ValueError, match="measures"):
+        make_config(measures=("linear",))
+    with pytest.raises(ValueError, match="measures"):
+        make_config(measures=(Measure.LINEAR, Measure.LINEAR))
+    with pytest.raises(ValueError, match="geometry"):
+        make_config(geometry="nonlocal")
+    with pytest.raises(ValueError, match="eval_stride"):
+        make_config(eval_stride=1.5)
+    with pytest.raises(ValueError, match="num_qubits"):
+        make_config(num_qubits=3.0)
+    assert make_config(max_gates=np.int64(6)).max_gates == 6
