@@ -8,12 +8,11 @@ that duration, which shifts the optimum away from the pure gate-count one.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .entanglement import Measure
-from .protocol import ProtocolConfig, convergence_gate_count, run_ensemble
+from .protocol import ProtocolConfig, _worker_count, convergence_gate_count, run_ensemble
 from .qstate import canonical_gate, entangler_gate
 
 __all__ = [
@@ -46,7 +45,10 @@ def physical_time(n_gates: int, phi: float, omega: float = 1.0) -> float:
     """Total run duration: gate count times the optimal per-gate time."""
     if n_gates < 0:
         raise ValueError(f"n_gates must be >= 0, got {n_gates}")
-    t = n_gates * optimal_gate_time(phi, omega)
+    try:
+        t = n_gates * optimal_gate_time(phi, omega)
+    except OverflowError:  # an integer too large for a float
+        t = math.inf
     if not math.isfinite(t):
         raise ValueError(f"time of {n_gates} gates at phi={phi!r}, omega={omega!r} is not finite")
     return t
@@ -102,13 +104,12 @@ def _converged_counts(base_config: ProtocolConfig, gates, workers: int | None) -
 
     Each point's config is base_config with that gate and the linear measure
     alone.  With at least as many points as workers, the points are spread
-    over the workers, each simulated in one process up to its crossing.
-    With fewer, each point in turn spreads its realizations over the
+    over the workers, each simulated in one process up to its crossing
+    (in full when the process cannot hold it whole).  With fewer, each point in turn spreads its realizations over the
     workers, as run does, and is simulated in full.
     """
+    workers = _worker_count(workers)
     configs = [replace(base_config, fixed_gate=g, measures=(Measure.LINEAR,)) for g in gates]
-    if workers is None:
-        workers = os.cpu_count() or 1
     if workers > 1 and len(configs) >= workers:
         with ProcessPoolExecutor(workers) as pool:
             return list(pool.map(_converged_count, configs))

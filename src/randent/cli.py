@@ -102,8 +102,8 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, qubits_default: int) -> None:
-    parser.add_argument("--qubits", type=int, default=qubits_default)
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--qubits", type=int, default=6)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--output", type=Path, default=None)
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="ensemble run with a fixed two-qubit gate")
-    _add_common(p_run, qubits_default=6)
+    _add_common(p_run)
     _add_protocol(p_run)
     p_run.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
                        help="canonical gate coefficients x,y,z in radians")
@@ -138,20 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--measure", choices=["linear", "vonneumann", "both"], default="both")
 
     p_sweep = sub.add_parser("sweep-phi", help="gate count and physical time over a phi grid")
-    _add_common(p_sweep, qubits_default=6)
+    _add_common(p_sweep)
     _add_protocol(p_sweep)
     p_sweep.add_argument("--phi-grid", type=_parse_grid, default=_DEFAULT_PHI_GRID,
                          help="start:stop:step in radians (default pi/12:11pi/12:pi/12)")
     p_sweep.add_argument("--omega", type=float, default=1.0)
 
     p_lam = sub.add_parser("sweep-lambda", help="gate count over a canonical-gate grid")
-    _add_common(p_lam, qubits_default=6)
+    _add_common(p_lam)
     _add_protocol(p_lam)
     p_lam.add_argument("--lambda-grid", type=_parse_grid, default=_DEFAULT_LAMBDA_GRID,
                        help="start:stop:step for lambda_x (lambda_y = lambda_z = 0)")
 
     p_base = sub.add_parser("baseline", help="Haar-average entanglement table")
-    _add_common(p_base, qubits_default=6)
+    _add_common(p_base)
     p_base.add_argument("--measure", choices=["linear", "vonneumann"], default="linear")
     return parser
 

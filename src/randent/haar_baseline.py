@@ -34,6 +34,9 @@ __all__ = [
 
 _MAX_SAMPLE_QUBITS = 16
 
+# States drawn and measured per batch by monte_carlo_baseline.
+_SAMPLE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class BaselineTable:
@@ -125,7 +128,6 @@ def monte_carlo_baseline(
     measure: Measure,
     samples: int,
     rng: np.random.Generator,
-    chunk: int = 4096,
 ) -> MonteCarloEstimate:
     """Estimate the level-m Haar average by sampling random pure states.
 
@@ -138,7 +140,7 @@ def monte_carlo_baseline(
     values = np.empty(samples)
     done = 0
     while done < samples:
-        b = min(chunk, samples - done)
+        b = min(_SAMPLE_CHUNK, samples - done)
         z = _haar_amplitudes(num_qubits, b, rng)
         values[done : done + b] = _level_values(z, num_qubits, m, (measure,))[:, 0]
         done += b

@@ -43,8 +43,17 @@ __all__ = [
     "convergence_report",
 ]
 
-# Cap on per-batch amplitude memory (complex128 entries).
+# Most amplitudes (complex128 entries) one numpy call advances.
 _BATCH_ENTRIES = 1 << 22
+
+# Most amplitudes one process holds at once (256 MiB), each realization's
+# random stream (about 1 KB) counted as 64 more: an ensemble above this is
+# run in parts, each to max_gates, and cannot stop early.
+_HELD_ENTRIES = 1 << 24
+
+# Largest gate cap.  Gate counts are int64, and numpy's arange miscounts
+# the length of a range whose stop is near 2^63 (it returns no entries).
+_MAX_GATES = 1 << 62
 
 
 class Geometry(enum.Enum):
@@ -89,6 +98,8 @@ class ProtocolConfig:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if self.max_gates < 0:
             raise ValueError(f"max_gates must be >= 0, got {self.max_gates}")
+        if self.max_gates > _MAX_GATES:
+            raise ValueError(f"max_gates must be <= {_MAX_GATES}, got {self.max_gates}")
         if self.eval_stride < 1:
             raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
         if self.seed < 0:
@@ -119,8 +130,10 @@ def pick_pair(geometry: Geometry, num_qubits: int, rng: np.random.Generator) -> 
     if geometry is Geometry.LOCAL_OPEN:
         k = int(rng.integers(n - 1))
         return k, k + 1
-    k = int(rng.integers(n))
-    return k, (k + 1) % n
+    if geometry is Geometry.LOCAL_PERIODIC:
+        k = int(rng.integers(n))
+        return k, (k + 1) % n
+    raise ValueError(f"geometry must be a Geometry, got {geometry!r}")
 
 
 def _draw_steps(geometry: Geometry, num_qubits: int, rngs, gate: np.ndarray):
@@ -167,38 +180,33 @@ class _Chunk:
         self.gates = 0
 
 
-def _chunks(config: ProtocolConfig, indices):
-    """Fresh chunks over the realization indices, in order, created as they are consumed."""
+def _chunks(config: ProtocolConfig, indices) -> list[_Chunk]:
+    """Fresh chunks over the realization indices, in order, each at most one batch."""
     sub = max(1, _BATCH_ENTRIES >> config.num_qubits)
-    for lo in range(0, len(indices), sub):
-        yield _Chunk(config, indices[lo : lo + sub])
+    return [_Chunk(config, indices[lo : lo + sub]) for lo in range(0, len(indices), sub)]
 
 
 def _run_batch(config: ProtocolConfig, chunks, rec) -> np.ndarray:
-    """Advance each chunk to the recorded gates rec and stack their values in order.
+    """Advance all chunks together through the recorded gates rec and stack their values.
 
-    Returns (realizations, len(rec), len(measures), floor(N/2)).  Realizations
-    are simulated side by side, but every per-realization value is bitwise
-    identical to a batch of one: the random draws come from per-realization
-    streams and the batched linear algebra has no cross-realization
-    reductions.  Given a generator, chunks are created as they are consumed,
-    so their amplitudes need not all be alive at once.
+    Returns (len(rec), realizations, len(measures), floor(N/2)): each gate
+    count in rec is reached by every chunk before any chunk goes on.
+    Realizations are simulated side by side, but every per-realization
+    value is bitwise identical to a batch of one: the random draws come
+    from per-realization streams and the batched linear algebra has no
+    cross-realization reductions.
     """
-    parts = [_run_chunk(config, chunk, rec) for chunk in chunks]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.stack([np.concatenate([_run_chunk(config, chunk, g) for chunk in chunks]) for g in rec])
 
 
-def _run_chunk(config: ProtocolConfig, chunk: _Chunk, rec) -> np.ndarray:
-    """Step the chunk to each gate count in rec (ascending, none below chunk.gates)."""
+def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g) -> np.ndarray:
+    """Step the chunk to gate count g (not below chunk.gates) and return its values there."""
     n = config.num_qubits
-    out = np.empty((len(chunk.rngs), len(rec), len(config.measures), n // 2))
-    for pos, g in enumerate(rec):
-        while chunk.gates < g:
-            ii, jj, mats = _draw_steps(config.geometry, n, chunk.rngs, config.fixed_gate)
-            _apply_pair_batch(chunk.amps, n, ii, jj, mats)
-            chunk.gates += 1
-        out[:, pos] = _profile_values(chunk.amps, n, config.measures)
-    return out
+    while chunk.gates < g:
+        ii, jj, mats = _draw_steps(config.geometry, n, chunk.rngs, config.fixed_gate)
+        _apply_pair_batch(chunk.amps, n, ii, jj, mats)
+        chunk.gates += 1
+    return _profile_values(chunk.amps, n, config.measures)
 
 
 def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Measure, np.ndarray]:
@@ -211,14 +219,21 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
         raise ValueError(
             f"realization_index {realization_index} out of range for R={config.realizations}"
         )
-    chunks = _chunks(config, [realization_index])
-    vals = _run_batch(config, chunks, record_gate_indices(config))[0]
+    vals = _run_batch(config, _chunks(config, [realization_index]), record_gate_indices(config))[:, 0]
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
 def _ensemble_worker(args):
+    """Values (T, realizations, n_measures, levels) of one part of the realizations, run to max_gates."""
     config, indices = args
     return _run_batch(config, _chunks(config, indices), record_gate_indices(config))
+
+
+def _worker_count(workers: int | None) -> int:
+    """Processes to use: one per core when workers is None; fewer than one is an error."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers or os.cpu_count() or 1
 
 
 def _delta(means, baselines):
@@ -278,8 +293,11 @@ def run_ensemble(
     gate of the confirm window of the first confirmed crossing of the global
     linear delta, judged as convergence_gate_count judges it with
     config.threshold and config.confirm_window: bitwise that prefix of the
-    full run, and where the means come gate by gate, no gate past it is run.
+    full run.  When one process holds the whole ensemble, no gate past it
+    is run; otherwise every part runs to max_gates first.  workers=None
+    uses one process per core.
     """
+    workers = min(_worker_count(workers), config.realizations)
     if until_converged and Measure.LINEAR not in config.measures:
         raise ValueError("until_converged judges the linear measure, which config.measures lacks")
     rec = record_gate_indices(config)
@@ -289,10 +307,7 @@ def run_ensemble(
         )
         for meas in config.measures
     }
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = max(1, min(workers, config.realizations))
-    means = _ensemble_means(config, workers, rec)
+    means = _ensemble_means(config, workers)
     if until_converged:
         means = _until_confirmed(config, means, baselines)
     means = np.array(list(means))
@@ -305,28 +320,28 @@ def run_ensemble(
     )
 
 
-def _ensemble_means(config: ProtocolConfig, workers: int, rec):
-    """Ensemble means (n_measures, levels) at each recorded gate in rec, in order.
+def _ensemble_means(config: ProtocolConfig, workers: int):
+    """Ensemble means (n_measures, levels) at each recorded gate, in order.
 
-    In one process, when the R states fit in one batch, the chunk advances
-    one recorded gate per mean, so a consumer that stops early runs no
-    further gate; otherwise the full run is made first.  Each gate's values
-    (R, n_measures, levels) are summed in realization order by a cumsum, so
-    every layout gives the same bits.
+    The realizations are split into parts held within _HELD_ENTRIES, one
+    part per worker at least.  A single part is held in this process and
+    advanced one recorded gate per mean, so a consumer that stops early
+    runs no further gate.  Otherwise each part is run to max_gates in
+    turn, by this process or by the pool.  Each gate's values
+    (R, n_measures, levels) are summed in realization order by a cumsum,
+    so every layout gives the same bits.
     """
     r = config.realizations
-    if workers == 1 and (r << config.num_qubits) <= _BATCH_ENTRIES:
-        chunks = [_Chunk(config, range(r))]
-        per_gate = (_run_batch(config, chunks, [g])[:, 0] for g in rec)
+    per_part = max(1, _HELD_ENTRIES // ((1 << config.num_qubits) + 64))
+    parts = np.array_split(np.arange(r), max(workers, -(-r // per_part)))
+    if len(parts) == 1:
+        chunks = _chunks(config, parts[0])
+        per_gate = (_run_batch(config, chunks, [g])[0] for g in record_gate_indices(config))
+    elif workers == 1:
+        per_gate = np.concatenate([_ensemble_worker((config, c)) for c in parts], axis=1)
     else:
-        all_indices = np.arange(r)
-        if workers == 1:
-            values = _run_batch(config, _chunks(config, all_indices), rec)
-        else:
-            parts = np.array_split(all_indices, workers)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                values = np.concatenate(list(pool.map(_ensemble_worker, [(config, c) for c in parts])))
-        per_gate = values.swapaxes(0, 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_gate = np.concatenate(list(pool.map(_ensemble_worker, [(config, c) for c in parts])), axis=1)
     for vals in per_gate:
         yield np.cumsum(vals, axis=0)[-1] / r
 

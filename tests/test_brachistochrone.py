@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import randent.brachistochrone
 import randent.protocol
 from randent.brachistochrone import (
     _converged_count,
@@ -66,6 +67,9 @@ class TestOptimalGateTime:
         assert math.isfinite(optimal_gate_time(1.0, 1e-306))
         with pytest.raises(ValueError):
             physical_time(400, 1.0, 1e-306)
+        # Too large for a float: the product overflows.
+        with pytest.raises(ValueError, match="not finite"):
+            physical_time(10**400, 1.0)
 
 
 class TestPhysicalTime:
@@ -148,6 +152,20 @@ class TestSweeps:
         )
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_workers_below_one_rejected(workers, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(randent.brachistochrone, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(randent.protocol, "_run_batch", no_work)
+    with pytest.raises(ValueError, match="workers"):
+        sweep_phi(base_config(), [math.pi / 4, math.pi / 2], workers=workers)
+    with pytest.raises(ValueError, match="workers"):
+        sweep_lambda(base_config(), [math.pi / 4], workers=workers)
+
+
 class TestEarlyExit:
     """A sweep point simulates up to its confirm window and no further."""
 
@@ -172,14 +190,27 @@ class TestEarlyExit:
         assert n is not None and n + config.confirm_window < config.max_gates
         assert sum(gate_steps) == (n + config.confirm_window) * config.realizations
 
-    def test_point_above_one_batch_runs_in_full(self, gate_steps, monkeypatch):
+    def test_point_above_one_batch_stops_at_window(self, gate_steps, monkeypatch):
         config = base_config(
             num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
             max_gates=600, seed=42, threshold=0.01, confirm_window=10,
         )
         n = _converged_count(config)
         gate_steps.clear()
+        # Two chunks, of 49 realizations and of one, advance together.
         monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (50 << 4) - 1)
+        assert _converged_count(config) == n
+        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations
+
+    def test_point_above_held_states_runs_in_full(self, gate_steps, monkeypatch):
+        config = base_config(
+            num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
+            max_gates=600, seed=42, threshold=0.01, confirm_window=10,
+        )
+        n = _converged_count(config)
+        gate_steps.clear()
+        # Parts of 25 realizations are not held at once: each runs to the cap.
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 50 * ((1 << 4) + 64) - 1)
         assert _converged_count(config) == n
         assert sum(gate_steps) == config.max_gates * config.realizations
 

@@ -87,6 +87,8 @@ class TestParseArgs:
         ["sweep-lambda", "--lambda-grid", "2:2:1e-9"],
         ["sweep-phi", "--omega", "inf"],
         ["sweep-phi", "--omega", "1e-320"],
+        ["run", "--max-gates", "100000000000000000000"],
+        ["sweep-phi", "--max-gates", "1" + "0" * 400],
     ])
     def test_invalid_settings_rejected(self, argv, tmp_path):
         with pytest.raises(UsageError):

@@ -95,6 +95,14 @@ class TestPickPair:
         offdiag = counts[~np.eye(3, dtype=bool)]
         assert np.all(np.abs(offdiag - n_draws * p) < 4 * se)
 
+    def test_geometry_checked(self):
+        # A string used to fall through to the local-periodic branch.
+        rng = rng_stream(44)
+        with pytest.raises(ValueError, match="geometry"):
+            pick_pair("nonlocal", 4, rng)
+        # Nothing was drawn.
+        assert rng.integers(1 << 30) == rng_stream(44).integers(1 << 30)
+
 
 class TestStep:
     def test_identity_gate_keeps_separable(self):
@@ -181,17 +189,53 @@ class TestRunEnsemble:
         for level in (1, None):
             assert traj.delta_series(Measure.LINEAR, level)[0] == 1.0
 
-    def test_worker_count_does_not_change_bits(self):
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
         # R above 8 at N = 3 with one measure meets numpy's pairwise sum on
-        # one-gate slices.
-        for measures in [(Measure.LINEAR,), (Measure.VON_NEUMANN,)]:
-            config = make_config(num_qubits=3, realizations=13, max_gates=30, measures=measures)
-            t1 = run_ensemble(config, workers=1)
-            for workers in (2, 3):
-                other = run_ensemble(config, workers=workers)
-                np.testing.assert_array_equal(
-                    t1.level_means[measures[0]], other.level_means[measures[0]]
-                )
+        # one-gate slices.  A batch of 3 realizations gives every process
+        # several chunks (forked pool workers inherit the patched value).
+        for batch_entries in (randent.protocol._BATCH_ENTRIES, 3 << 3):
+            monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", batch_entries)
+            for measures in [(Measure.LINEAR,), (Measure.VON_NEUMANN,)]:
+                config = make_config(num_qubits=3, realizations=13, max_gates=30, measures=measures)
+                t1 = run_ensemble(config, workers=1)
+                for workers in (2, 3):
+                    other = run_ensemble(config, workers=workers)
+                    np.testing.assert_array_equal(
+                        t1.level_means[measures[0]], other.level_means[measures[0]]
+                    )
+
+    def test_held_states_bounded(self, monkeypatch):
+        # With at most 5 held states, 13 realizations run in parts of 5, 4
+        # and 4, each to max_gates, in this process or in the pool, and
+        # give the bits of the run that holds them all.
+        config = make_config(num_qubits=3, realizations=13, max_gates=30)
+        whole = run_ensemble(config, workers=1)
+        held = []
+        chunks = randent.protocol._chunks
+
+        def recording(config, indices):
+            held.append(len(indices))
+            return chunks(config, indices)
+
+        monkeypatch.setattr(randent.protocol, "_chunks", recording)
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 5 * ((1 << 3) + 64))
+        for workers in (1, 2):
+            parts = run_ensemble(config, workers=workers)
+            np.testing.assert_array_equal(
+                whole.level_means[Measure.LINEAR], parts.level_means[Measure.LINEAR]
+            )
+        assert held == [5, 4, 4]
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(randent.protocol, "_run_batch", no_work)
+        for until_converged in (False, True):
+            with pytest.raises(ValueError, match="workers"):
+                run_ensemble(make_config(), workers=workers, until_converged=until_converged)
 
     @pytest.mark.parametrize("level", [0, -1, 3, 5])
     def test_level_checked(self, level):
@@ -421,3 +465,8 @@ def test_config_validation():
     with pytest.raises(ValueError, match="num_qubits"):
         make_config(num_qubits=3.0)
     assert make_config(max_gates=np.int64(6)).max_gates == 6
+    # Gate counts are int64; a larger cap used to fail inside numpy.
+    with pytest.raises(ValueError, match="max_gates"):
+        make_config(max_gates=10**20)
+    with pytest.raises(ValueError, match="max_gates"):
+        make_config(max_gates=np.iinfo(np.int64).max)
