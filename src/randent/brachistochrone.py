@@ -8,7 +8,6 @@ that duration, which shifts the optimum away from the pure gate-count one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .entanglement import Measure
@@ -91,9 +90,9 @@ def assemble_sweep_table(phis, gate_counts, omega: float = 1.0) -> SweepTable:
 def _converged_count(config: ProtocolConfig, workers: int = 1) -> int | None:
     """Confirmed gate count of the global linear measure.
 
-    run_ensemble's until_converged ends the trajectory as its confirm window closes.
+    run_ensemble, given the config's one gate, ends the trajectory as its confirm window closes.
     """
-    traj = run_ensemble(config, workers, until_converged=True)
+    (traj,) = run_ensemble(config, workers, gates=[config.fixed_gate])
     return convergence_gate_count(
         traj, Measure.LINEAR, None, config.threshold, config.confirm_window
     )
@@ -103,17 +102,20 @@ def _converged_counts(base_config: ProtocolConfig, gates, workers: int | None) -
     """Gate count of the global linear measure at each grid point, one per fixed gate.
 
     Each point's config is base_config with that gate and the linear measure
-    alone.  With at least as many points as workers, the points are spread
-    over the workers, each simulated in one process up to its crossing
-    (in full when the process cannot hold it whole).  With fewer, each point in turn spreads its realizations over the
-    workers, as run does, and is simulated in full.
+    alone.  With at least as many points as workers, one run_ensemble call
+    runs them all: the points a process holds advance in lockstep, sharing
+    streams, pairs and draws, and each stops at its crossing.  With fewer,
+    each point in turn spreads its realizations over the workers, as run
+    does, and is simulated in full.
     """
     workers = _worker_count(workers)
-    configs = [replace(base_config, fixed_gate=g, measures=(Measure.LINEAR,)) for g in gates]
-    if workers > 1 and len(configs) >= workers:
-        with ProcessPoolExecutor(workers) as pool:
-            return list(pool.map(_converged_count, configs))
-    return [_converged_count(config, workers) for config in configs]
+    config = replace(base_config, measures=(Measure.LINEAR,))
+    if len(gates) < workers:
+        return [_converged_count(replace(config, fixed_gate=g), workers) for g in gates]
+    return [
+        convergence_gate_count(traj, Measure.LINEAR, None, config.threshold, config.confirm_window)
+        for traj in run_ensemble(config, workers, gates=gates)
+    ]
 
 
 def sweep_phi(
@@ -127,9 +129,11 @@ def sweep_phi(
     Convergence is judged on the global linear measure.  The base config's
     seed is reused at every grid point, so ensemble noise is correlated
     across angles and the argmin comparison is sharper than independent
-    seeding would give.  A grid point not converged by max_gates has no
-    gate count; see _converged_counts for where its ensemble stops and how
-    workers are used.
+    seeding would give; the angles a process holds also share their
+    draws, so each stream draws once per gate for all of them.  A grid
+    point not converged by max_gates has no gate count; see
+    _converged_counts for where its ensemble stops and how workers are
+    used.
     """
     counts = _converged_counts(base_config, [entangler_gate(phi) for phi in phi_grid], workers)
     return assemble_sweep_table(phi_grid, counts, omega)

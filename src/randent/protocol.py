@@ -136,11 +136,13 @@ def pick_pair(geometry: Geometry, num_qubits: int, rng: np.random.Generator) -> 
     raise ValueError(f"geometry must be a Geometry, got {geometry!r}")
 
 
-def _draw_steps(geometry: Geometry, num_qubits: int, rngs, gate: np.ndarray):
-    """Draws of one protocol step for each stream: pairs (ii, jj), (V_i (x) V_j) @ gate.
+def _draw_steps(geometry: Geometry, num_qubits: int, rngs):
+    """Draws of one protocol step for each stream: pairs (ii, jj) and V_i (x) V_j.
 
     Each stream gives one pick_pair draw, then one block of normals covering
     V_i then V_j, in the same order as two consecutive sample_haar_u2 draws.
+    The fixed gate is left out, so that every point sharing the streams
+    applies its own: the step's matrix is (V_i (x) V_j) @ gate.
     """
     b = len(rngs)
     ii = np.empty(b, dtype=np.int64)
@@ -150,8 +152,7 @@ def _draw_steps(geometry: Geometry, num_qubits: int, rngs, gate: np.ndarray):
         ii[r], jj[r] = pick_pair(geometry, num_qubits, rng)
         z[r] = rng.standard_normal((2, 2, 2, 2))
     v = _orthonormalize_columns(_complex_gaussian(z))
-    kron = np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
-    return ii, jj, kron @ gate
+    return ii, jj, np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
 
 
 def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -> StateVector:
@@ -160,8 +161,8 @@ def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -
     A batch of one through the ensemble engine's draw and kernel.
     """
     n = state.num_qubits
-    ii, jj, mats = _draw_steps(config.geometry, n, [rng], config.fixed_gate)
-    _apply_pair_batch(state.amplitudes[np.newaxis], n, ii, jj, mats)
+    ii, jj, kron = _draw_steps(config.geometry, n, [rng])
+    _apply_pair_batch(state.amplitudes[np.newaxis], n, ii, jj, kron @ config.fixed_gate)
     return state
 
 
@@ -171,42 +172,55 @@ def record_gate_indices(config: ProtocolConfig) -> np.ndarray:
 
 
 class _Chunk:
-    """Realizations simulated side by side: their streams, amplitudes and gates applied so far."""
+    """Realizations simulated side by side at every live point.
 
-    def __init__(self, config: ProtocolConfig, indices):
+    A point is config with its own fixed gate; all points share the
+    realizations' streams.  Holds the streams, the points' gates (points, 4,
+    4), their amplitudes (points, realizations, 2^N) and the gates applied.
+    """
+
+    def __init__(self, config: ProtocolConfig, indices, gates):
         self.rngs = [rng_stream(config.seed, int(i)) for i in indices]
-        self.amps = np.zeros((len(self.rngs), 1 << config.num_qubits), dtype=complex)
-        self.amps[:, 0] = 1.0
-        self.gates = 0
+        self.fixed = np.array(gates, dtype=complex)
+        self.amps = np.zeros((len(self.fixed), len(self.rngs), 1 << config.num_qubits), dtype=complex)
+        self.amps[:, :, 0] = 1.0
+        self.applied = 0
 
 
-def _chunks(config: ProtocolConfig, indices) -> list[_Chunk]:
-    """Fresh chunks over the realization indices, in order, each at most one batch."""
-    sub = max(1, _BATCH_ENTRIES >> config.num_qubits)
-    return [_Chunk(config, indices[lo : lo + sub]) for lo in range(0, len(indices), sub)]
+def _chunks(config: ProtocolConfig, indices, gates) -> list[_Chunk]:
+    """Fresh chunks over the realization indices, in order, each at most one batch over all points."""
+    sub = max(1, _BATCH_ENTRIES // (len(gates) << config.num_qubits))
+    return [_Chunk(config, indices[lo : lo + sub], gates) for lo in range(0, len(indices), sub)]
 
 
 def _run_batch(config: ProtocolConfig, chunks, rec) -> np.ndarray:
     """Advance all chunks together through the recorded gates rec and stack their values.
 
-    Returns (len(rec), realizations, len(measures), floor(N/2)): each gate
-    count in rec is reached by every chunk before any chunk goes on.
-    Realizations are simulated side by side, but every per-realization
+    Returns (len(rec), points, realizations, len(measures), floor(N/2)):
+    each gate count in rec is reached by every chunk before any chunk goes
+    on.  Realizations and points are simulated side by side, but every
     value is bitwise identical to a batch of one: the random draws come
     from per-realization streams and the batched linear algebra has no
-    cross-realization reductions.
+    cross-row reductions.
     """
-    return np.stack([np.concatenate([_run_chunk(config, chunk, g) for chunk in chunks]) for g in rec])
+    return np.stack([np.concatenate([_run_chunk(config, chunk, g) for chunk in chunks], axis=1) for g in rec])
 
 
 def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g) -> np.ndarray:
-    """Step the chunk to gate count g (not below chunk.gates) and return its values there."""
+    """Step the chunk to gate count g (not below chunk.applied) and return its values there.
+
+    Each gate draws once per stream and advances every point's rows in one
+    kernel call.
+    """
     n = config.num_qubits
-    while chunk.gates < g:
-        ii, jj, mats = _draw_steps(config.geometry, n, chunk.rngs, config.fixed_gate)
-        _apply_pair_batch(chunk.amps, n, ii, jj, mats)
-        chunk.gates += 1
-    return _profile_values(chunk.amps, n, config.measures)
+    points, b, dim = chunk.amps.shape
+    amps = chunk.amps.reshape(points * b, dim)
+    while chunk.applied < g:
+        ii, jj, kron = _draw_steps(config.geometry, n, chunk.rngs)
+        mats = (kron @ chunk.fixed[:, np.newaxis]).reshape(-1, 4, 4)
+        _apply_pair_batch(amps, n, np.tile(ii, points), np.tile(jj, points), mats)
+        chunk.applied += 1
+    return _profile_values(amps, n, config.measures).reshape(points, b, len(config.measures), -1)
 
 
 def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Measure, np.ndarray]:
@@ -219,14 +233,15 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
         raise ValueError(
             f"realization_index {realization_index} out of range for R={config.realizations}"
         )
-    vals = _run_batch(config, _chunks(config, [realization_index]), record_gate_indices(config))[:, 0]
+    chunks = _chunks(config, [realization_index], [config.fixed_gate])
+    vals = _run_batch(config, chunks, record_gate_indices(config))[:, 0, 0]
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
 def _ensemble_worker(args):
-    """Values (T, realizations, n_measures, levels) of one part of the realizations, run to max_gates."""
-    config, indices = args
-    return _run_batch(config, _chunks(config, indices), record_gate_indices(config))
+    """Values (T, points, realizations, n_measures, levels) of one part of the realizations, run to max_gates."""
+    config, gates, indices = args
+    return _run_batch(config, _chunks(config, indices, gates), record_gate_indices(config))
 
 
 def _worker_count(workers: int | None) -> int:
@@ -283,80 +298,144 @@ class Trajectory:
         return _delta(self.level_means[measure][:, cols], self.baselines[measure][cols])
 
 
-def run_ensemble(
-    config: ProtocolConfig, workers: int | None = None, *, until_converged: bool = False
-) -> Trajectory:
+def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=None):
     """Average the per-realization series over R independent realizations.
 
-    The result is bitwise independent of the worker count; see
-    _ensemble_means.  With until_converged the trajectory ends at the last
-    gate of the confirm window of the first confirmed crossing of the global
-    linear delta, judged as convergence_gate_count judges it with
-    config.threshold and config.confirm_window: bitwise that prefix of the
-    full run.  When one process holds the whole ensemble, no gate past it
-    is run; otherwise every part runs to max_gates first.  workers=None
-    uses one process per core.
+    Without gates, returns the trajectory of config up to max_gates.  With
+    gates, returns one trajectory per gate, of config with that fixed gate,
+    each ending at the last gate of the confirm window of its first
+    confirmed crossing of the global linear delta, judged as
+    convergence_gate_count judges it with config.threshold and
+    config.confirm_window: bitwise that prefix of the point's full run.
+
+    Points share their realizations' streams, so one draw per stream per
+    gate serves every point a process holds; _confirmed_means lays out the
+    points and _ensemble_means the realizations.  The result is bitwise
+    independent of the worker count and of the layout; workers=None uses
+    one process per core.
     """
-    workers = min(_worker_count(workers), config.realizations)
-    if until_converged and Measure.LINEAR not in config.measures:
-        raise ValueError("until_converged judges the linear measure, which config.measures lacks")
-    rec = record_gate_indices(config)
+    workers = _worker_count(workers)
     baselines = {
         meas: np.array(
             [baseline_level(config.num_qubits, m, meas) for m in range(1, config.num_qubits // 2 + 1)]
         )
         for meas in config.measures
     }
-    means = _ensemble_means(config, workers)
-    if until_converged:
-        means = _until_confirmed(config, means, baselines)
-    means = np.array(list(means))
-    return Trajectory(
-        num_qubits=config.num_qubits,
-        gate_indices=rec[: len(means)],
-        measures=config.measures,
-        level_means={meas: means[:, k, :] for k, meas in enumerate(config.measures)},
-        baselines=baselines,
-    )
+    if gates is None:
+        means = _ensemble_means(config, [config.fixed_gate], min(workers, config.realizations))
+        series = [[point[0] for point in means]]
+    else:
+        if Measure.LINEAR not in config.measures:
+            raise ValueError("gates are judged on the linear measure, which config.measures lacks")
+        series = _confirmed_means(config, list(gates), workers, baselines)
+    rec = record_gate_indices(config)
+    trajs = [
+        Trajectory(
+            num_qubits=config.num_qubits,
+            gate_indices=rec[: len(kept)],
+            measures=config.measures,
+            level_means={meas: np.array(kept)[:, k, :] for k, meas in enumerate(config.measures)},
+            baselines=baselines,
+        )
+        for kept in series
+    ]
+    return trajs[0] if gates is None else trajs
 
 
-def _ensemble_means(config: ProtocolConfig, workers: int):
-    """Ensemble means (n_measures, levels) at each recorded gate, in order.
+def _confirmed_means(config: ProtocolConfig, gates, workers: int, baselines) -> list[list[np.ndarray]]:
+    """Each point's ensemble means up to the one that closes its confirmed crossing.
 
-    The realizations are split into parts held within _HELD_ENTRIES, one
-    part per worker at least.  A single part is held in this process and
-    advanced one recorded gate per mean, so a consumer that stops early
-    runs no further gate.  Otherwise each part is run to max_gates in
-    turn, by this process or by the pool.  Each gate's values
-    (R, n_measures, levels) are summed in realization order by a cumsum,
-    so every layout gives the same bits.
+    With fewer points than workers, each point in turn spreads its
+    realizations over the workers (see _ensemble_means).  Otherwise the
+    points are dealt round-robin to min(workers, cores) processes, one task
+    each, or kept in this process when that is one.  A process runs its
+    points in groups held within _HELD_ENTRIES, each realization counted as
+    points * 2^N + 64 entries, and within one batch per realization.
     """
     r = config.realizations
-    per_part = max(1, _HELD_ENTRIES // ((1 << config.num_qubits) + 64))
+    if len(gates) < workers:
+        size, workers = 1, min(workers, r)
+    else:
+        procs = min(workers, os.cpu_count() or 1)
+        if procs > 1:
+            out = [None] * len(gates)
+            with ProcessPoolExecutor(max_workers=procs) as pool:
+                groups = [gates[w::procs] for w in range(procs)]
+                done = pool.map(_confirmed_means, [config] * procs, groups, [1] * procs, [baselines] * procs)
+                for w, means in enumerate(done):
+                    out[w::procs] = means
+            return out
+        size, workers = max(1, min(_HELD_ENTRIES // r - 64, _BATCH_ENTRIES) >> config.num_qubits), 1
+    out = []
+    for lo in range(0, len(gates), size):
+        group = gates[lo : lo + size]
+        out += _until_confirmed(config, _ensemble_means(config, group, workers), baselines, len(group))
+    return out
+
+
+def _ensemble_means(config: ProtocolConfig, gates, workers: int):
+    """Ensemble means (points, n_measures, levels) at each recorded gate, in order.
+
+    Each point is config with one of gates as its fixed gate.  The
+    realizations are split into parts held within _HELD_ENTRIES, each
+    realization counted as points * 2^N amplitudes plus 64 for its random
+    stream, one part per worker at least.  A single part is held in this
+    process, and all its points advance together one recorded gate per
+    mean; a consumer may send a boolean mask over the points of the last
+    mean, and those it marks False run no further gate and are left out.
+    Otherwise each part runs to max_gates in turn, by this process or by
+    the pool; _confirmed_means splits only single points into parts.  Each
+    gate's values are summed in realization order by a cumsum, so every
+    layout gives the same bits.
+    """
+    r = config.realizations
+    per_part = max(1, _HELD_ENTRIES // ((len(gates) << config.num_qubits) + 64))
     parts = np.array_split(np.arange(r), max(workers, -(-r // per_part)))
     if len(parts) == 1:
-        chunks = _chunks(config, parts[0])
-        per_gate = (_run_batch(config, chunks, [g])[0] for g in record_gate_indices(config))
-    elif workers == 1:
-        per_gate = np.concatenate([_ensemble_worker((config, c)) for c in parts], axis=1)
+        chunks = _chunks(config, parts[0], gates)
+        for g in record_gate_indices(config):
+            live = yield np.cumsum(_run_batch(config, chunks, [g])[0], axis=1)[:, -1] / r
+            if live is not None:
+                for chunk in chunks:
+                    chunk.fixed, chunk.amps = chunk.fixed[live], chunk.amps[live]
+        return
+    tasks = [(config, gates, part) for part in parts]
+    if workers == 1:
+        per_gate = np.concatenate([_ensemble_worker(task) for task in tasks], axis=2)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_gate = np.concatenate(list(pool.map(_ensemble_worker, [(config, c) for c in parts])), axis=1)
+            per_gate = np.concatenate(list(pool.map(_ensemble_worker, tasks)), axis=2)
     for vals in per_gate:
-        yield np.cumsum(vals, axis=0)[-1] / r
+        yield np.cumsum(vals, axis=1)[:, -1] / r
 
 
-def _until_confirmed(config: ProtocolConfig, means, baselines) -> list[np.ndarray]:
-    """Means consumed up to the one that closes the confirmed global linear crossing."""
+def _until_confirmed(config: ProtocolConfig, means, baselines, count: int) -> list[list[np.ndarray]]:
+    """Each point's means from an _ensemble_means generator, up to its confirmed crossing.
+
+    A point's means end with the one that closes the confirm window of its
+    first confirmed global linear crossing.  When a window closes, the
+    generator is sent the mask of the points still live, so that point runs
+    no further gate.
+    """
     k = config.measures.index(Measure.LINEAR)
-    kept = []
-
-    def passes():
-        for mean in means:
-            kept.append(mean)
-            yield _delta(mean[k], baselines[Measure.LINEAR]) <= config.threshold
-
-    _first_confirmed(passes(), config.confirm_window)
+    kept = [[] for _ in range(count)]
+    runs = [0] * count
+    points = list(range(count))
+    live = None
+    while points:
+        try:
+            step_means = means.send(live)
+        except StopIteration:
+            break
+        passed = _delta(step_means[:, k], baselines[Measure.LINEAR]) <= config.threshold
+        for a, mean, ok in zip(points, step_means, passed):
+            kept[a].append(mean)
+            runs[a] = runs[a] + 1 if ok else 0
+        live = [runs[a] <= config.confirm_window for a in points]
+        points = [a for a, ok in zip(points, live) if ok]
+        if all(live):
+            live = None
+    means.close()
     return kept
 
 

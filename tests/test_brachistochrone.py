@@ -1,5 +1,7 @@
 """Optimal gate times, physical time, and the sweep assembly."""
 import math
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,13 +153,53 @@ class TestSweeps:
             base_config(), grid[1:2], workers=2
         )
 
+    def test_traced_pooled_sweep(self, monkeypatch):
+        # A tracer wraps these names in local closures, which cannot be pickled.
+        grid = [0.5, 1.0, 1.5]
+        want = sweep_phi(base_config(), grid, workers=1)
+        for name in ("_converged_count", "run_ensemble"):
+            fn = getattr(randent.brachistochrone, name)
+
+            def wrapper(*args, _fn=fn, **kwargs):
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(randent.brachistochrone, name, wrapper)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sweep_phi(base_config(), grid, workers=2) == want
+
+    @pytest.mark.parametrize(
+        "workers, points, cores, want", [(4, 5, 3, 3), (3, 5, 8, 3), (6, 8, 2, 2)]
+    )
+    def test_pool_capped_at_cores(self, workers, points, cores, want, monkeypatch):
+        started = []
+
+        class InProcess:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        config = base_config(realizations=2, max_gates=8)
+        grid = [k * math.pi / points for k in range(points)]
+        serial = sweep_phi(config, grid, workers=1)
+        monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", InProcess)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert sweep_phi(config, grid, workers=workers) == serial
+        assert started == [want]
+
 
 @pytest.mark.parametrize("workers", [0, -5])
 def test_workers_below_one_rejected(workers, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(randent.brachistochrone, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", no_work)
     monkeypatch.setattr(randent.protocol, "_run_batch", no_work)
     with pytest.raises(ValueError, match="workers"):
@@ -213,6 +255,56 @@ class TestEarlyExit:
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 50 * ((1 << 4) + 64) - 1)
         assert _converged_count(config) == n
         assert sum(gate_steps) == config.max_gates * config.realizations
+
+    @pytest.fixture
+    def pick_pairs(self, monkeypatch):
+        calls = []
+        draw = randent.protocol.pick_pair
+
+        def counting(*args):
+            calls.append(1)
+            return draw(*args)
+
+        monkeypatch.setattr(randent.protocol, "pick_pair", counting)
+        return calls
+
+    def grid_config(self):
+        return base_config(
+            num_qubits=4, realizations=20, max_gates=300, seed=42, threshold=0.02, confirm_window=4,
+        )
+
+    def test_grid_points_share_draws(self, gate_steps, pick_pairs):
+        config = self.grid_config()
+        phis = [math.pi / 6, math.pi / 3, math.pi / 2, 2.5]
+        counts = [_converged_count(replace(config, fixed_gate=entangler_gate(p))) for p in phis]
+        assert None not in counts
+        gate_steps.clear()
+        pick_pairs.clear()
+        table = sweep_phi(config, phis, workers=1)
+        assert [row.n_gates for row in table.rows] == counts
+        steps = [(n + config.confirm_window) * config.realizations for n in counts]
+        assert sum(gate_steps) == sum(steps)
+        assert len(pick_pairs) == max(steps)
+
+    def test_grid_split_into_groups(self, gate_steps, monkeypatch):
+        config = self.grid_config()
+        phis = [math.pi / 6, math.pi / 3, math.pi / 2, 2.5, math.pi]
+        table = sweep_phi(config, phis, workers=1)
+        steps = sum(gate_steps)
+        held = []
+        chunks = randent.protocol._chunks
+
+        def recording(config, indices, gates):
+            held.append(len(gates))
+            return chunks(config, indices, gates)
+
+        monkeypatch.setattr(randent.protocol, "_chunks", recording)
+        # Two points' realizations fit in the cap, three do not.
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 20 * (2 * (1 << 4) + 64))
+        gate_steps.clear()
+        assert sweep_phi(config, phis, workers=1) == table
+        assert held == [2, 2, 1]
+        assert sum(gate_steps) == steps
 
     def test_unconverged_point_runs_to_cap(self, gate_steps):
         config = base_config(

@@ -1,5 +1,6 @@
 """Protocol steps, ensemble runs, convergence detection, and rate fits."""
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -213,9 +214,9 @@ class TestRunEnsemble:
         held = []
         chunks = randent.protocol._chunks
 
-        def recording(config, indices):
+        def recording(config, indices, gates):
             held.append(len(indices))
-            return chunks(config, indices)
+            return chunks(config, indices, gates)
 
         monkeypatch.setattr(randent.protocol, "_chunks", recording)
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 5 * ((1 << 3) + 64))
@@ -233,9 +234,9 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(randent.protocol, "_run_batch", no_work)
-        for until_converged in (False, True):
+        for gates in (None, [make_config().fixed_gate]):
             with pytest.raises(ValueError, match="workers"):
-                run_ensemble(make_config(), workers=workers, until_converged=until_converged)
+                run_ensemble(make_config(), workers=workers, gates=gates)
 
     @pytest.mark.parametrize("level", [0, -1, 3, 5])
     def test_level_checked(self, level):
@@ -340,6 +341,26 @@ _GATES = st.one_of(
 )
 
 
+def _full_run(config):
+    """The run to max_gates, in parts of one realization, each run in full by _ensemble_worker."""
+    with mock.patch.object(randent.protocol, "_HELD_ENTRIES", 0):
+        return run_ensemble(config, workers=1)
+
+
+def _assert_prefix(early, full):
+    t = early.gate_indices.size
+    np.testing.assert_array_equal(early.gate_indices, full.gate_indices[:t])
+    np.testing.assert_array_equal(
+        early.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][:t]
+    )
+
+
+def _count(traj, config):
+    return convergence_gate_count(
+        traj, Measure.LINEAR, None, config.threshold, config.confirm_window
+    )
+
+
 class TestUntilConverged:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -355,48 +376,80 @@ class TestUntilConverged:
     )
     def test_prefix_of_full_run(self, gate, **kw):
         config = ProtocolConfig(fixed_gate=gate, measures=(Measure.LINEAR,), **kw)
-        # The reference is the chunk-major full run, not the gate-by-gate stream.
-        with mock.patch.object(randent.protocol, "_BATCH_ENTRIES", 0):
-            full = run_ensemble(config, workers=1)
-        early = run_ensemble(config, workers=1, until_converged=True)
-        want = convergence_gate_count(
-            full, Measure.LINEAR, None, config.threshold, config.confirm_window
-        )
-        got = convergence_gate_count(
-            early, Measure.LINEAR, None, config.threshold, config.confirm_window
-        )
-        assert got == want
-        t = early.gate_indices.size
+        # The reference runs its parts to max_gates, not gate by gate to the window.
+        full = _full_run(config)
+        (early,) = run_ensemble(config, workers=1, gates=[gate])
+        want = _count(full, config)
+        assert _count(early, config) == want
         if want is None:
-            assert t == full.gate_indices.size
+            assert early.gate_indices.size == full.gate_indices.size
         else:
             assert early.gate_indices[-1] == want + config.confirm_window * config.eval_stride
-        np.testing.assert_array_equal(early.gate_indices, full.gate_indices[:t])
-        np.testing.assert_array_equal(
-            early.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][:t]
-        )
+        _assert_prefix(early, full)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        num_qubits=st.integers(2, 5),
+        realizations=st.integers(1, 16),
+        geometry=st.sampled_from(list(Geometry)),
+        eval_stride=st.integers(1, 3),
+        confirm_window=st.integers(0, 10),
+        max_gates=st.integers(0, 80),
+        threshold=st.sampled_from([0.01, 0.05, 0.2, 0.5]),
+        seed=st.integers(0, 2**16),
+        gates=st.lists(_GATES, min_size=1, max_size=4),
+    )
+    def test_grid_matches_one_gate_runs(self, gates, **kw):
+        config = ProtocolConfig(fixed_gate=gates[0], measures=(Measure.LINEAR,), **kw)
+        grid = run_ensemble(config, workers=1, gates=gates)
+        assert len(grid) == len(gates)
+        for gate, traj in zip(gates, grid):
+            point = replace(config, fixed_gate=gate)
+            (alone,) = run_ensemble(point, workers=1, gates=[gate])
+            np.testing.assert_array_equal(traj.gate_indices, alone.gate_indices)
+            np.testing.assert_array_equal(
+                traj.level_means[Measure.LINEAR], alone.level_means[Measure.LINEAR]
+            )
+            assert _count(traj, config) == _count(_full_run(point), config)
 
     @pytest.mark.parametrize("window", [0, 3])
     def test_pooled_and_batched_runs_are_cut_alike(self, monkeypatch, window):
         config = make_config(
             num_qubits=4, realizations=6, max_gates=120, threshold=0.05, confirm_window=window
         )
-        streamed = run_ensemble(config, workers=1, until_converged=True)
-        assert streamed.gate_indices.size < config.max_gates + 1
-        pooled = run_ensemble(config, workers=2, until_converged=True)
-        # R states above one batch are not held at once: the run goes in full.
-        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (6 << 4) - 1)
-        batched = run_ensemble(config, workers=1, until_converged=True)
-        for other in (pooled, batched):
-            np.testing.assert_array_equal(other.gate_indices, streamed.gate_indices)
-            np.testing.assert_array_equal(
-                other.level_means[Measure.LINEAR], streamed.level_means[Measure.LINEAR]
-            )
+        gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3, math.pi)]
+        streamed = run_ensemble(config, workers=1, gates=gates)
+        assert streamed[0].gate_indices.size < config.max_gates + 1
+        assert streamed[-1].gate_indices.size == config.max_gates + 1
+        runs = {
+            # Two points per process, one task each.
+            "pooled": lambda: run_ensemble(config, workers=2, gates=gates),
+            # Fewer points than workers: each point's realizations over the pool, in full.
+            "spread": lambda: run_ensemble(config, workers=3, gates=gates[:2]) + streamed[2:],
+        }
+        for name, run in runs.items():
+            for other, want in zip(run(), streamed, strict=True):
+                np.testing.assert_array_equal(other.gate_indices, want.gate_indices, err_msg=name)
+                np.testing.assert_array_equal(
+                    other.level_means[Measure.LINEAR], want.level_means[Measure.LINEAR], err_msg=name
+                )
+        # Two chunks per group, still held at once: the run stops at each window.
+        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (4 * 6 << 4) - 1)
+        batched = run_ensemble(config, workers=1, gates=gates)
+        # Groups of one point, each in two parts run to max_gates and cut.
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 6 * ((1 << 4) + 64) - 1)
+        parts = run_ensemble(config, workers=1, gates=gates)
+        for other in (batched, parts):
+            for traj, want in zip(other, streamed, strict=True):
+                np.testing.assert_array_equal(traj.gate_indices, want.gate_indices)
+                np.testing.assert_array_equal(
+                    traj.level_means[Measure.LINEAR], want.level_means[Measure.LINEAR]
+                )
 
     def test_needs_linear_measure(self):
         config = make_config(measures=(Measure.VON_NEUMANN,))
         with pytest.raises(ValueError):
-            run_ensemble(config, workers=1, until_converged=True)
+            run_ensemble(config, workers=1, gates=[config.fixed_gate])
 
 
 class TestFitDecayRate:
