@@ -32,6 +32,11 @@ __all__ = [
 # not roundoff.
 _EIG_FLOOR = -1e-10
 
+# Most entries (complex128, 1 MiB) of the Gram matrices one eigvalsh call
+# takes.  That is a thousand 8x8 marginals, enough for the call's fixed cost
+# to be small next to its work; a larger buffer only adds memory.
+_GRAM_ENTRIES = 1 << 16
+
 
 class Measure(enum.Enum):
     """Entropy used to score the mixedness of a marginal."""
@@ -106,19 +111,40 @@ def _vn_from_spectrum(w: np.ndarray, m: int) -> np.ndarray:
 
 
 def _level_values(amps: np.ndarray, num_qubits: int, m: int, measures) -> np.ndarray:
-    """Level-m entanglement of each batched state, per measure: (B, len(measures))."""
+    """Level-m entanglement of each batched state, per measure: (B, len(measures)).
+
+    One Gram matrix per subset.  For von Neumann they are gathered in blocks
+    of subsets held within _GRAM_ENTRIES, with one eigvalsh call and one
+    entropy pass per block; the linear entropies take one pass per level.
+    Each measure's entropies are then summed in subset order.
+    """
     parts = enumerate_bipartitions(num_qubits, m)
-    acc = np.zeros((amps.shape[0], len(measures)))
-    for kept in parts:
-        psi = _subsystem_matrix(amps, num_qubits, kept)
-        rho = psi @ np.conj(np.swapaxes(psi, 1, 2))
-        for k, measure in enumerate(measures):
-            if measure is Measure.LINEAR:
-                purity = np.einsum("rab,rab->r", rho, np.conj(rho)).real
-                acc[:, k] += _linear_from_purity(purity, m)
-            else:
-                acc[:, k] += _vn_from_spectrum(np.linalg.eigvalsh(rho), m)
-    return acc / len(parts)
+    b, d = amps.shape[0], 1 << m
+    linear = Measure.LINEAR in measures
+    vn = Measure.VON_NEUMANN in measures
+    purity = np.empty((b, len(parts)))
+    entropy = np.empty((b, len(parts)))
+    block = max(1, _GRAM_ENTRIES // (b * d * d)) if vn else len(parts)
+    grams = np.empty((b, min(block, len(parts)), d, d), dtype=complex) if vn else None
+    for lo in range(0, len(parts), block):
+        kept_block = parts[lo : lo + block]
+        for t, kept in enumerate(kept_block):
+            psi = _subsystem_matrix(amps, num_qubits, kept)
+            rho = psi @ np.conj(np.swapaxes(psi, 1, 2))
+            if linear:
+                purity[:, lo + t] = np.einsum("rab,rab->r", rho, np.conj(rho)).real
+            if vn:
+                grams[:, t] = rho
+        if vn:
+            w = np.linalg.eigvalsh(grams[:, : len(kept_block)])
+            entropy[:, lo : lo + len(kept_block)] = _vn_from_spectrum(w, m)
+    out = np.empty((b, len(measures)))
+    for k, measure in enumerate(measures):
+        values = _linear_from_purity(purity, m) if measure is Measure.LINEAR else entropy
+        # cumsum adds in subset order, one term at a time; sum() would add
+        # pairwise and give other bits.
+        out[:, k] = np.cumsum(values, axis=1)[:, -1]
+    return out / len(parts)
 
 
 def _profile_values(amps: np.ndarray, num_qubits: int, measures) -> np.ndarray:

@@ -51,9 +51,14 @@ _BATCH_ENTRIES = 1 << 22
 # run in parts, each to max_gates, and cannot stop early.
 _HELD_ENTRIES = 1 << 24
 
-# Largest gate cap.  Gate counts are int64, and numpy's arange miscounts
-# the length of a range whose stop is near 2^63 (it returns no entries).
+# Largest gate cap: gate counts are int64.
 _MAX_GATES = 1 << 62
+
+# Most recorded gate counts (max_gates // eval_stride + 1).  Every recorded
+# gate keeps its means in memory and writes its rows: a run at N=2, R=1
+# takes about 0.2 ms and 0.6 KB per recorded gate (measured at 2^16), so
+# 2^20 of them take minutes and under 1 GB.
+_MAX_RECORDED = 1 << 20
 
 
 class Geometry(enum.Enum):
@@ -102,6 +107,12 @@ class ProtocolConfig:
             raise ValueError(f"max_gates must be <= {_MAX_GATES}, got {self.max_gates}")
         if self.eval_stride < 1:
             raise ValueError(f"eval_stride must be >= 1, got {self.eval_stride}")
+        recorded = self.max_gates // self.eval_stride + 1
+        if recorded > _MAX_RECORDED:
+            raise ValueError(
+                f"max_gates // eval_stride + 1 = {recorded} recorded gates exceeds {_MAX_RECORDED};"
+                " lower max_gates or raise eval_stride"
+            )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         measures = self.measures
@@ -167,8 +178,14 @@ def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -
 
 
 def record_gate_indices(config: ProtocolConfig) -> np.ndarray:
-    """Gate counts at which entanglement is recorded: 0, stride, 2*stride, ..."""
-    return np.arange(0, config.max_gates + 1, config.eval_stride, dtype=np.int64)
+    """Gate counts at which entanglement is recorded: 0, stride, 2*stride, ..., up to max_gates.
+
+    Counted in integers: arange(0, stop, step) sizes itself in floating point
+    and drops the last count of a large range, such as stop 2*10^18 + 1, step 10^18.
+    A stride above max_gates, which need not fit in int64, records gate 0 only.
+    """
+    count = config.max_gates // config.eval_stride + 1
+    return np.arange(count, dtype=np.int64) * min(config.eval_stride, config.max_gates + 1)
 
 
 class _Chunk:

@@ -120,31 +120,31 @@ class StateVector:
 
 
 def _apply_pair_batch(amps, num_qubits, ii, jj, mats):
-    """Apply per-realization 4x4 gates to per-realization target pairs, in place.
+    """Apply per-row 4x4 gates to per-row target pairs of amps (B, 2^N), in place.
 
-    Rows are grouped by pair so each group is one batched matmul; per-row
-    arithmetic does not depend on the grouping or the batch size.
+    One gather of each row's four target slices (B, 4, 2^(N-2)), one
+    batched matmul, one scatter back; amps must flatten without a copy.  A
+    slice's columns are the indices whose target bits are zero, in
+    increasing order, so a row's arithmetic does not depend on the other
+    rows or the batch size.
     """
     n = num_qubits
-    codes = ii * n + jj
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    cuts = np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1
-    starts = np.concatenate(([0], cuts, [codes.size]))
-    for a, b in zip(starts[:-1], starts[1:]):
-        rows = order[a:b]
-        i = int(ii[rows[0]])
-        j = int(jj[rows[0]])
-        ax_i = 1 + (n - 1 - i)
-        ax_j = 1 + (n - 1 - j)
-        block = amps[rows].reshape((rows.size,) + (2,) * n)
-        block = np.moveaxis(block, (ax_i, ax_j), (1, 2))
-        rest = block.shape[3:]
-        block = block.reshape(rows.size, 4, -1)
-        block = mats[rows] @ block
-        block = block.reshape((rows.size, 2, 2) + rest)
-        block = np.moveaxis(block, (1, 2), (ax_i, ax_j))
-        amps[rows] = block.reshape(rows.size, -1)
+    flat = amps.reshape(-1, copy=False)
+    base = np.arange(1 << (n - 2))
+    lo = np.minimum(ii, jj)[:, np.newaxis]
+    hi = np.maximum(ii, jj)[:, np.newaxis]
+    # Insert a zero bit at lo, then at hi: x + ((x >> p) << p) shifts the
+    # bits at and above p up by one.
+    cols = base >> lo << lo
+    cols += base
+    cols += cols >> hi << hi
+    cols += (np.arange(len(ii)) << n)[:, np.newaxis]
+    bit_i = 1 << ii
+    bit_j = 1 << jj
+    # Row k of the 4x4 index sets the target bits 2*b_i + b_j = k.
+    targets = np.stack([np.zeros_like(bit_i), bit_j, bit_i, bit_i | bit_j], axis=1)
+    idx = cols[:, np.newaxis, :] + targets[:, :, np.newaxis]
+    flat[idx] = mats @ flat[idx]
 
 
 def _complex_gaussian(w: np.ndarray) -> np.ndarray:

@@ -89,12 +89,15 @@ class TestParseArgs:
         ["sweep-phi", "--omega", "1e-320"],
         ["run", "--max-gates", "100000000000000000000"],
         ["sweep-phi", "--max-gates", "1" + "0" * 400],
+        # Too many recorded gates: used to die in numpy with "array is too big".
+        ["run", "--qubits", "2", "--realizations", "1", "--max-gates", "2000000000000000000"],
     ])
-    def test_invalid_settings_rejected(self, argv, tmp_path):
+    def test_invalid_settings_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(UsageError):
             parse_args(argv)
         out = tmp_path / "out.csv"
         assert main([*argv, "--output", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

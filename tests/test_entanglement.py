@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import randent.entanglement as entanglement
+from randent.cli import main
 from randent.entanglement import (
     Measure,
     SpectrumError,
+    _level_values,
+    _profile_values,
     enumerate_bipartitions,
     global_entanglement,
     level_entanglement,
@@ -211,3 +215,86 @@ def test_permutation_invariance():
             assert abs(
                 level_entanglement(s, m, meas) - level_entanglement(t, m, meas)
             ) < 1e-10
+
+
+def random_batch(n, count, rng):
+    return np.array([random_state(n, rng).amplitudes for _ in range(count)])
+
+
+def _skewed_eigvalsh(monkeypatch, batch_row, subset):
+    """Patch eigvalsh to give one marginal a negative eigenvalue.
+
+    The marginal is that of batch_row in the stack at position subset among
+    all the stacks of marginals eigvalsh gets, counted from the patch on.
+    """
+    real = np.linalg.eigvalsh
+    seen = [0]
+
+    def skewed(a):
+        w = real(a)
+        lo = seen[0]
+        seen[0] += a.shape[1]
+        if lo <= subset < seen[0]:
+            w[batch_row, subset - lo, 0] = -1e-6
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", skewed)
+
+
+class TestLevelPass:
+    """The batched level pass against one marginal at a time."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_per_subset_entropies(self, n):
+        rng = rng_stream(30 + n)
+        amps = random_batch(n, 5, rng)
+        states = [StateVector(n, a) for a in amps]
+        for m in range(1, n // 2 + 1):
+            parts = enumerate_bipartitions(n, m)
+            got = _level_values(amps, n, m, (Measure.LINEAR, Measure.VON_NEUMANN))
+            for s, row in zip(states, got):
+                rhos = [reduced_density_matrix(s, kept) for kept in parts]
+                lin = sum(linear_entropy(rho) for rho in rhos) / len(parts)
+                vn = sum(von_neumann_entropy(rho) for rho in rhos) / len(parts)
+                np.testing.assert_allclose(row, [lin, vn], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [1, 8 * 16 * 3, 8 * 16 * 7])
+    def test_split_blocks_same_bits(self, budget, monkeypatch):
+        # N=6, B=8: a budget of 1 makes one call per subset; 8*16*3 and
+        # 8*16*7 hold 3 and 7 of level 2's fifteen 4x4 stacks per call, and
+        # one of level 3's ten 8x8 stacks.
+        rng = rng_stream(38)
+        amps = random_batch(6, 8, rng)
+        measures = (Measure.LINEAR, Measure.VON_NEUMANN)
+        whole = _profile_values(amps, 6, measures)
+        real = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape[:2])
+            return real(a)
+
+        monkeypatch.setattr(entanglement, "_GRAM_ENTRIES", budget)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        split = _profile_values(amps, 6, measures)
+        assert len(calls) > 3
+        assert sum(k for _, k in calls) == 6 + 15 + 10
+        np.testing.assert_array_equal(split, whole)
+
+    @pytest.mark.parametrize("budget", [None, 8 * 8 * 4])
+    def test_bad_spectrum_in_batch_raises(self, budget, monkeypatch):
+        rng = rng_stream(39)
+        amps = random_batch(5, 8, rng)
+        assert np.isfinite(_level_values(amps, 5, 2, (Measure.VON_NEUMANN,))).all()
+        if budget is not None:
+            monkeypatch.setattr(entanglement, "_GRAM_ENTRIES", budget)
+        _skewed_eigvalsh(monkeypatch, batch_row=5, subset=7)
+        with pytest.raises(SpectrumError):
+            _level_values(amps, 5, 2, (Measure.LINEAR, Measure.VON_NEUMANN))
+
+    def test_bad_spectrum_exits_4(self, monkeypatch, tmp_path, capsys):
+        _skewed_eigvalsh(monkeypatch, batch_row=2, subset=1)
+        argv = ["run", "--qubits", "4", "--realizations", "4", "--max-gates", "3",
+                "--measure", "vonneumann", "--workers", "1", "--output", str(tmp_path / "t.csv")]
+        assert main(argv) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1

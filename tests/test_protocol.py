@@ -20,6 +20,7 @@ from randent.protocol import (
     fit_decay_rate,
     pick_pair,
     _first_confirmed,
+    record_gate_indices,
     run_ensemble,
     run_realization,
     step,
@@ -523,3 +524,11 @@ def test_config_validation():
         make_config(max_gates=10**20)
     with pytest.raises(ValueError, match="max_gates"):
         make_config(max_gates=np.iinfo(np.int64).max)
+    # The recorded gates are capped; a stride brings a large cap back under it.
+    cap = randent.protocol._MAX_RECORDED
+    assert len(record_gate_indices(make_config(max_gates=cap - 1))) == cap
+    with pytest.raises(ValueError, match="recorded gates"):
+        make_config(max_gates=cap)
+    with pytest.raises(ValueError, match="recorded gates"):
+        make_config(max_gates=2 * 10**18)
+    assert len(record_gate_indices(make_config(max_gates=2 * 10**18, eval_stride=10**18))) == 3

@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from randent.qstate import (
     StateVector,
+    _apply_pair_batch,
     _orthonormalize_columns,
     canonical_gate,
     entangler_gate,
@@ -132,6 +133,23 @@ class TestApplyTwo:
                     expected = embed_two(gate, i, j, n) @ s.amplitudes
                     s.apply_two(gate, i, j)
                     np.testing.assert_allclose(s.amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_batch_of_every_pair(self, n):
+        # One kernel call, one row per ordered pair, each with its own gate.
+        rng = rng_stream(40 + n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        ii = np.array([i for i, _ in pairs])
+        jj = np.array([j for _, j in pairs])
+        mats = np.array([random_u4(rng) for _ in pairs])
+        start = np.array([random_state(n, rng).amplitudes for _ in pairs])
+        amps = start.copy()
+        _apply_pair_batch(amps, n, ii, jj, mats)
+        for r, (i, j) in enumerate(pairs):
+            np.testing.assert_allclose(amps[r], embed_two(mats[r], i, j, n) @ start[r], atol=1e-12)
+            alone = start[r : r + 1].copy()
+            _apply_pair_batch(alone, n, ii[r : r + 1], jj[r : r + 1], mats[r : r + 1])
+            np.testing.assert_array_equal(amps[r], alone[0])
 
     def test_inverse_restores(self):
         rng = rng_stream(5)
