@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .entanglement import Measure
-from .protocol import ProtocolConfig, _worker_count, convergence_gate_count, run_ensemble
+from .protocol import ProtocolConfig, convergence_gate_count, run_ensemble
 from .qstate import canonical_gate, entangler_gate
 
 __all__ = [
@@ -88,30 +88,19 @@ def assemble_sweep_table(phis, gate_counts, omega: float = 1.0) -> SweepTable:
 
 
 def _converged_count(config: ProtocolConfig, workers: int = 1) -> int | None:
-    """Confirmed gate count of the global linear measure.
-
-    run_ensemble, given the config's one gate, ends the trajectory as its confirm window closes.
-    """
-    (traj,) = run_ensemble(config, workers, gates=[config.fixed_gate])
-    return convergence_gate_count(
-        traj, Measure.LINEAR, None, config.threshold, config.confirm_window
-    )
+    """Confirmed gate count of the global linear measure of config's own gate: a grid of one point."""
+    return _converged_counts(config, [config.fixed_gate], workers)[0]
 
 
 def _converged_counts(base_config: ProtocolConfig, gates, workers: int | None) -> list[int | None]:
     """Gate count of the global linear measure at each grid point, one per fixed gate.
 
     Each point's config is base_config with that gate and the linear measure
-    alone.  With at least as many points as workers, one run_ensemble call
-    runs them all: the points a process holds advance in lockstep, sharing
-    streams, pairs and draws, and each stops at its crossing.  With fewer,
-    each point in turn spreads its realizations over the workers, as run
-    does, and is simulated in full.
+    alone.  One run_ensemble call runs them all: the points of a group
+    advance in lockstep, sharing streams, pairs and draws, their
+    realizations sliced over the workers, and each stops at its crossing.
     """
-    workers = _worker_count(workers)
     config = replace(base_config, measures=(Measure.LINEAR,))
-    if len(gates) < workers:
-        return [_converged_count(replace(config, fixed_gate=g), workers) for g in gates]
     return [
         convergence_gate_count(traj, Measure.LINEAR, None, config.threshold, config.confirm_window)
         for traj in run_ensemble(config, workers, gates=gates)
@@ -129,11 +118,11 @@ def sweep_phi(
     Convergence is judged on the global linear measure.  The base config's
     seed is reused at every grid point, so ensemble noise is correlated
     across angles and the argmin comparison is sharper than independent
-    seeding would give; the angles a process holds also share their
-    draws, so each stream draws once per gate for all of them.  A grid
-    point not converged by max_gates has no gate count; see
-    _converged_counts for where its ensemble stops and how workers are
-    used.
+    seeding would give; the angles of a group also share their draws, so
+    each stream draws once per gate for all of them.  A grid point stops as
+    its confirm window closes; one not converged by max_gates has no gate
+    count.  Every point's realizations are split over min(workers, R,
+    cores) processes (see _converged_counts).
     """
     counts = _converged_counts(base_config, [entangler_gate(phi) for phi in phi_grid], workers)
     return assemble_sweep_table(phi_grid, counts, omega)

@@ -8,8 +8,10 @@ invocations produce byte-identical files, regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -378,7 +380,20 @@ def _execute_baseline(args) -> int:
     return 0
 
 
+def _check_output_dir(path: Path) -> None:
+    """Raise, before any work, the OSError that writing to path would raise for its directory."""
+    parent = path.parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def execute(args) -> int:
+    _check_output_dir(args.output)
     if args.subcommand == "run":
         return _execute_run(args)
     if args.subcommand == "sweep-phi":

@@ -8,10 +8,13 @@ a fixed-order reduction, making results independent of the worker count.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
+import multiprocessing
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +50,8 @@ __all__ = [
 _BATCH_ENTRIES = 1 << 22
 
 # Most amplitudes one process holds at once (256 MiB), each realization's
-# random stream (about 1 KB) counted as 64 more: an ensemble above this is
-# run in parts, each to max_gates, and cannot stop early.
+# random stream (about 1 KB) counted as 64 more: a slice above this is run
+# in parts, each to max_gates, and cannot stop early.
 _HELD_ENTRIES = 1 << 24
 
 # Largest gate cap: gate counts are int64.
@@ -255,17 +258,91 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
+def _slice(config: ProtocolConfig, gates, parts):
+    """Answer function of one slice of the realizations at every point of a group.
+
+    answer(live, rec) keeps the points of the boolean mask live, steps to
+    each gate count in rec and returns the values (len(rec), points,
+    realizations, n_measures, levels).  A slice of one part is held between
+    answers; a slice of several holds one part at a time, from gate 0, so
+    it is asked once, for every recorded gate.
+    """
+    held = _chunks(config, parts[0], gates) if len(parts) == 1 else None
+
+    def answer(live, rec):
+        if held is None:
+            return np.concatenate([_run_batch(config, _chunks(config, p, gates), rec) for p in parts], axis=2)
+        if not all(live):
+            for chunk in held:
+                chunk.fixed, chunk.amps = chunk.fixed[live], chunk.amps[live]
+        return _run_batch(config, held, rec)
+
+    return answer
+
+
 def _ensemble_worker(args):
-    """Values (T, points, realizations, n_measures, levels) of one part of the realizations, run to max_gates."""
-    config, gates, indices = args
-    return _run_batch(config, _chunks(config, indices, gates), record_gate_indices(config))
+    """Body of a slice's worker process: answers the requests on its connection until None.
+
+    An exception raised by a request is sent back as its answer.
+    """
+    config, gates, parts, conn = args
+    # The parent handles an interrupt, and ends its workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    answer = _slice(config, gates, parts)
+    while (request := conn.recv()) is not None:
+        try:
+            conn.send(answer(*request))
+        except Exception as exc:
+            conn.send(exc)
 
 
-def _worker_count(workers: int | None) -> int:
-    """Processes to use: one per core when workers is None; fewer than one is an error."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers or os.cpu_count() or 1
+@contextlib.contextmanager
+def _slices(config: ProtocolConfig, gates, parts):
+    """Yields a function that asks a group's slices (live, rec) and returns their answers in order.
+
+    One slice, of parts[0], is held in this process.  More run in one
+    worker process each: an exception a worker answers is raised here, and
+    a worker that is gone raises BrokenProcessPool.  On leaving, each
+    worker is sent None, or ended if the block raised, and joined.
+    """
+    if len(parts) == 1:
+        answer = _slice(config, gates, parts[0])
+        yield lambda request: [answer(*request)]
+        return
+    workers = []
+
+    def ask(request):
+        try:
+            for _, conn in workers:
+                conn.send(request)
+            answers = [conn.recv() for _, conn in workers] if request is not None else []
+        except (EOFError, OSError) as exc:
+            raise BrokenProcessPool("a worker process ended abruptly") from exc
+        for got in answers:
+            if isinstance(got, Exception):
+                raise got
+        return answers
+
+    try:
+        for slice_parts in parts:
+            conn, child = multiprocessing.Pipe()
+            # Resolved as each process is made, so a stand-in put under the name runs there.
+            proc = multiprocessing.Process(
+                target=_ensemble_worker, args=((config, gates, slice_parts, child),), daemon=True
+            )
+            proc.start()
+            child.close()
+            workers.append((proc, conn))
+        yield ask
+        ask(None)
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in workers:
+            proc.join()
+            conn.close()
 
 
 def _delta(means, baselines):
@@ -326,12 +403,13 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     config.confirm_window: bitwise that prefix of the point's full run.
 
     Points share their realizations' streams, so one draw per stream per
-    gate serves every point a process holds; _confirmed_means lays out the
-    points and _ensemble_means the realizations.  The result is bitwise
-    independent of the worker count and of the layout; workers=None uses
-    one process per core.
+    gate serves every point of a group; _ensemble_means lays out the
+    slices, groups and rounds, over min(workers, R, cores) processes.  The
+    result is bitwise independent of the worker count and of the layout;
+    workers=None means one process per core.
     """
-    workers = _worker_count(workers)
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     baselines = {
         meas: np.array(
             [baseline_level(config.num_qubits, m, meas) for m in range(1, config.num_qubits // 2 + 1)]
@@ -339,12 +417,11 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
         for meas in config.measures
     }
     if gates is None:
-        means = _ensemble_means(config, [config.fixed_gate], min(workers, config.realizations))
-        series = [[point[0] for point in means]]
+        series = _ensemble_means(config, [config.fixed_gate], workers)
     else:
         if Measure.LINEAR not in config.measures:
             raise ValueError("gates are judged on the linear measure, which config.measures lacks")
-        series = _confirmed_means(config, list(gates), workers, baselines)
+        series = _ensemble_means(config, list(gates), workers, baselines[Measure.LINEAR])
     rec = record_gate_indices(config)
     trajs = [
         Trajectory(
@@ -359,101 +436,57 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     return trajs[0] if gates is None else trajs
 
 
-def _confirmed_means(config: ProtocolConfig, gates, workers: int, baselines) -> list[list[np.ndarray]]:
-    """Each point's ensemble means up to the one that closes its confirmed crossing.
+def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline=None) -> list[list[np.ndarray]]:
+    """Each point's ensemble means (n_measures, levels) at the recorded gates it reaches.
 
-    With fewer points than workers, each point in turn spreads its
-    realizations over the workers (see _ensemble_means).  Otherwise the
-    points are dealt round-robin to min(workers, cores) processes, one task
-    each, or kept in this process when that is one.  A process runs its
-    points in groups held within _HELD_ENTRIES, each realization counted as
-    points * 2^N + 64 entries, and within one batch per realization.
+    Each point is config with one of gates as its fixed gate.  The
+    realizations are split into min(workers, R, cores) slices, each holding
+    every point of a group (see _slices).  Groups run one after another,
+    sized so that a slice is held within _HELD_ENTRIES, each realization
+    counted as points * 2^N amplitudes plus 64 for its random stream, and
+    so that one realization's points fit in one batch.  A slice above that
+    runs in parts, all in one round.  Otherwise a round takes at most
+    _BATCH_ENTRIES >> 4 values and, given the global linear baseline, ends
+    no later than the earliest close of a confirm window; a point stops
+    when its window closes.  Each gate's values are summed in realization
+    order by a cumsum, so every layout gives the same bits.
     """
-    r = config.realizations
-    if len(gates) < workers:
-        size, workers = 1, min(workers, r)
-    else:
-        procs = min(workers, os.cpu_count() or 1)
-        if procs > 1:
-            out = [None] * len(gates)
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                groups = [gates[w::procs] for w in range(procs)]
-                done = pool.map(_confirmed_means, [config] * procs, groups, [1] * procs, [baselines] * procs)
-                for w, means in enumerate(done):
-                    out[w::procs] = means
-            return out
-        size, workers = max(1, min(_HELD_ENTRIES // r - 64, _BATCH_ENTRIES) >> config.num_qubits), 1
+    r, n = config.realizations, config.num_qubits
+    slices = np.array_split(np.arange(r), min(workers or r, r, os.cpu_count() or 1))
+    size = max(1, min(_HELD_ENTRIES // len(slices[0]) - 64, _BATCH_ENTRIES) >> n)
+    width = r * len(config.measures) * (n // 2)
+    rec = record_gate_indices(config)
+    window = config.confirm_window
     out = []
     for lo in range(0, len(gates), size):
         group = gates[lo : lo + size]
-        out += _until_confirmed(config, _ensemble_means(config, group, workers), baselines, len(group))
+        per_part = max(1, _HELD_ENTRIES // ((len(group) << n) + 64))
+        parts = [np.array_split(s, -(-len(s) // per_part)) for s in slices]
+        kept = [[] for _ in group]
+        runs = [0] * len(group)
+        live, mask, done = list(range(len(group))), [True] * len(group), 0
+        with _slices(config, group, parts) as ask:
+            while live and done < len(rec):
+                k = len(rec) - done
+                if len(parts[0]) == 1:
+                    k = min(k, max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))))
+                    if baseline is not None:
+                        k = min(k, window + 1 - max(runs[a] for a in live))
+                vals = np.concatenate(ask((mask, rec[done : done + k])), axis=2)
+                done += k
+                for means in np.cumsum(vals, axis=2)[:, :, -1] / r:
+                    passed = [False] * len(live)
+                    if baseline is not None:
+                        linear = means[:, config.measures.index(Measure.LINEAR)]
+                        passed = _delta(linear, baseline) <= config.threshold
+                    for a, mean, ok in zip(live, means, passed):
+                        if runs[a] <= window:
+                            kept[a].append(mean)
+                            runs[a] = runs[a] + 1 if ok else 0
+                mask = [runs[a] <= window for a in live]
+                live = [a for a, ok in zip(live, mask) if ok]
+        out += kept
     return out
-
-
-def _ensemble_means(config: ProtocolConfig, gates, workers: int):
-    """Ensemble means (points, n_measures, levels) at each recorded gate, in order.
-
-    Each point is config with one of gates as its fixed gate.  The
-    realizations are split into parts held within _HELD_ENTRIES, each
-    realization counted as points * 2^N amplitudes plus 64 for its random
-    stream, one part per worker at least.  A single part is held in this
-    process, and all its points advance together one recorded gate per
-    mean; a consumer may send a boolean mask over the points of the last
-    mean, and those it marks False run no further gate and are left out.
-    Otherwise each part runs to max_gates in turn, by this process or by
-    the pool; _confirmed_means splits only single points into parts.  Each
-    gate's values are summed in realization order by a cumsum, so every
-    layout gives the same bits.
-    """
-    r = config.realizations
-    per_part = max(1, _HELD_ENTRIES // ((len(gates) << config.num_qubits) + 64))
-    parts = np.array_split(np.arange(r), max(workers, -(-r // per_part)))
-    if len(parts) == 1:
-        chunks = _chunks(config, parts[0], gates)
-        for g in record_gate_indices(config):
-            live = yield np.cumsum(_run_batch(config, chunks, [g])[0], axis=1)[:, -1] / r
-            if live is not None:
-                for chunk in chunks:
-                    chunk.fixed, chunk.amps = chunk.fixed[live], chunk.amps[live]
-        return
-    tasks = [(config, gates, part) for part in parts]
-    if workers == 1:
-        per_gate = np.concatenate([_ensemble_worker(task) for task in tasks], axis=2)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_gate = np.concatenate(list(pool.map(_ensemble_worker, tasks)), axis=2)
-    for vals in per_gate:
-        yield np.cumsum(vals, axis=1)[:, -1] / r
-
-
-def _until_confirmed(config: ProtocolConfig, means, baselines, count: int) -> list[list[np.ndarray]]:
-    """Each point's means from an _ensemble_means generator, up to its confirmed crossing.
-
-    A point's means end with the one that closes the confirm window of its
-    first confirmed global linear crossing.  When a window closes, the
-    generator is sent the mask of the points still live, so that point runs
-    no further gate.
-    """
-    k = config.measures.index(Measure.LINEAR)
-    kept = [[] for _ in range(count)]
-    runs = [0] * count
-    points = list(range(count))
-    live = None
-    while points:
-        try:
-            step_means = means.send(live)
-        except StopIteration:
-            break
-        passed = _delta(step_means[:, k], baselines[Measure.LINEAR]) <= config.threshold
-        for a, mean, ok in zip(points, step_means, passed):
-            kept[a].append(mean)
-            runs[a] = runs[a] + 1 if ok else 0
-        live = [runs[a] <= config.confirm_window for a in points]
-        points = [a for a, ok in zip(points, live) if ok]
-        if all(live):
-            live = None
-    means.close()
-    return kept
 
 
 def _first_confirmed(passes, confirm_window: int) -> int | None:

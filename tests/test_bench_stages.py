@@ -1,6 +1,7 @@
 """The benchmark's layer tracer finds every function it patches, on the call path it expects."""
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -47,6 +48,29 @@ def test_traced_sweep_records_ensemble_spans(layers, tmp_path):
     assert not tracer.missing
     for span in ("protocol.run_ensemble", "protocol.run_batch"):
         assert tracer.calls[span] > 0, span
+
+
+def test_traced_pooled_sweep_merges_worker_spans(layers, tmp_path, monkeypatch):
+    # Every slice runs in a worker process, which writes its totals to the
+    # trace directory; the parent's own totals hold no engine work.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    argv = [
+        "sweep-phi", "--qubits", "3", "--realizations", "4", "--max-gates", "40",
+        "--threshold", "0.3", "--workers", "2", "--output", str(tmp_path / "sweep.csv"),
+    ]
+    tracer = layers.Tracer(trace_dir=trace_dir).install()
+    try:
+        assert randent.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["protocol.run_batch"] == 0
+    tracer.merge_workers()
+    assert not tracer.missing
+    assert tracer.calls["protocol.worker"] == 2
+    assert tracer.calls["protocol.run_batch"] > 0
+    assert tracer.counts["gate_steps"] > 0
 
 
 def test_traced_run_reaches_every_kernel_stage(layers, tmp_path):

@@ -1,5 +1,6 @@
 """Optimal gate times, physical time, and the sweep assembly."""
 import math
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from randent.brachistochrone import (
     sweep_phi,
 )
 from randent.entanglement import Measure
-from randent.protocol import Geometry, ProtocolConfig
+from randent.protocol import Geometry, ProtocolConfig, run_ensemble
 from randent.qstate import entangler_gate
 
 
@@ -148,7 +149,7 @@ class TestSweeps:
         assert sweep_lambda(base_config(), lams, workers=1) == sweep_lambda(
             base_config(), lams, workers=2
         )
-        # Fewer points than workers: each point pools its realizations.
+        # One point: its realizations are sliced over the workers.
         assert sweep_phi(base_config(), grid[1:2], workers=1) == sweep_phi(
             base_config(), grid[1:2], workers=2
         )
@@ -167,32 +168,43 @@ class TestSweeps:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert sweep_phi(base_config(), grid, workers=2) == want
 
+    @pytest.fixture
+    def started(self, monkeypatch):
+        procs = []
+        start = multiprocessing.Process.start
+
+        def counting(self):
+            procs.append(self)
+            return start(self)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting)
+        return procs
+
     @pytest.mark.parametrize(
         "workers, points, cores, want", [(4, 5, 3, 3), (3, 5, 8, 3), (6, 8, 2, 2)]
     )
-    def test_pool_capped_at_cores(self, workers, points, cores, want, monkeypatch):
-        started = []
-
-        class InProcess:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        config = base_config(realizations=2, max_gates=8)
+    def test_pool_capped_at_cores(self, workers, points, cores, want, started, monkeypatch):
+        # Eight realizations: the cap comes from the workers or the cores.
+        config = base_config(realizations=8, max_gates=8)
         grid = [k * math.pi / points for k in range(points)]
         serial = sweep_phi(config, grid, workers=1)
-        monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", InProcess)
+        run = run_ensemble(config, workers=1)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         assert sweep_phi(config, grid, workers=workers) == serial
-        assert started == [want]
+        assert len(started) == want
+        np.testing.assert_array_equal(
+            run_ensemble(config, workers=workers).level_means[Measure.LINEAR],
+            run.level_means[Measure.LINEAR],
+        )
+        assert len(started) == 2 * want
+        assert not multiprocessing.active_children()
+
+    def test_pool_capped_at_realizations(self, started, monkeypatch):
+        config = base_config(realizations=2, max_gates=8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        run_ensemble(config, workers=4)
+        sweep_lambda(config, [0.0, math.pi / 8, math.pi / 4], workers=4)
+        assert len(started) == 2 + 2
 
 
 @pytest.mark.parametrize("workers", [0, -5])
@@ -200,7 +212,7 @@ def test_workers_below_one_rejected(workers, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(multiprocessing.Process, "start", no_work)
     monkeypatch.setattr(randent.protocol, "_run_batch", no_work)
     with pytest.raises(ValueError, match="workers"):
         sweep_phi(base_config(), [math.pi / 4, math.pi / 2], workers=workers)
@@ -243,6 +255,32 @@ class TestEarlyExit:
         monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (50 << 4) - 1)
         assert _converged_count(config) == n
         assert sum(gate_steps) == (n + config.confirm_window) * config.realizations
+
+    def test_pooled_point_stops_at_window(self, monkeypatch):
+        # A one-point grid slices its realizations over two processes, and
+        # each slice stops at the window: the steps are counted across them.
+        steps = multiprocessing.Value("q", 0)
+        here = []
+        parent = os.getpid()
+        kernel = randent.protocol._apply_pair_batch
+
+        def counting(amps, num_qubits, ii, jj, mats):
+            with steps.get_lock():
+                steps.value += len(ii)
+            if os.getpid() == parent:
+                here.append(len(ii))
+            return kernel(amps, num_qubits, ii, jj, mats)
+
+        config = base_config(
+            num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
+            max_gates=600, seed=42, threshold=0.01, confirm_window=10,
+        )
+        n = _converged_count(config)
+        monkeypatch.setattr(randent.protocol, "_apply_pair_batch", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _converged_count(config, workers=2) == n
+        assert steps.value == (n + config.confirm_window) * config.realizations
+        assert not here
 
     def test_point_above_held_states_runs_in_full(self, gate_steps, monkeypatch):
         config = base_config(

@@ -2,6 +2,9 @@
 import argparse
 import json
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
 
 from concurrent.futures.process import BrokenProcessPool
 
@@ -211,9 +214,17 @@ class TestRunCommand:
                      "--output", str(out)])
         assert code == 0
 
-    def test_unwritable_output(self, tmp_path):
+    def test_unwritable_output(self, tmp_path, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("ensemble started")
+
+        monkeypatch.setattr(randent.cli, "run_ensemble", no_work)
+        monkeypatch.setattr(brachistochrone, "run_ensemble", no_work)
         out = tmp_path / "missing_dir" / "t.csv"
-        assert main(["run", *FAST_RUN, "--output", str(out)]) == 2
+        for command in ("run", "sweep-phi", "sweep-lambda"):
+            assert main([command, *FAST_RUN, "--output", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("i/o error:"), err
 
     def test_require_convergence_failure(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -281,3 +292,50 @@ class TestSweepCommands:
         assert header == ["lambda_x", "lambda_y", "lambda_z", "n_gates"]
         assert rows[0][3] == ""  # lambda 0 is the identity
         assert rows[1][3] != ""
+
+
+class TestPooledRun:
+    """A pooled run ends its worker processes, however it ends, with one stderr line on failure."""
+
+    ARGV = ["run", "--qubits", "3", "--realizations", "4", "--max-gates", "20", "--workers", "2",
+            "--measure", "linear"]
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_clean_run(self, tmp_path, capfd):
+        assert main([*self.ARGV, "--output", str(tmp_path / "t.csv")]) == 0
+        assert capfd.readouterr().err == ""
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("how, code", [("raise", 4), ("exit", 5)])
+    def test_worker_failure(self, how, code, monkeypatch, tmp_path, capfd):
+        parent = os.getpid()
+        profile = protocol._profile_values
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(1)
+                raise SpectrumError("marginal eigenvalue -0.5 below -1e-10")
+            return profile(*args)
+
+        monkeypatch.setattr(protocol, "_profile_values", failing)
+        assert main([*self.ARGV, "--output", str(tmp_path / "t.csv")]) == code
+        assert len(capfd.readouterr().err.splitlines()) == 1
+        assert not multiprocessing.active_children()
+
+    def test_interrupt_during_round(self, monkeypatch, tmp_path, capfd):
+        parent = os.getpid()
+        recv = multiprocessing.connection.Connection.recv
+
+        def interrupted(self):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return recv(self)
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv", interrupted)
+        assert main([*self.ARGV, "--output", str(tmp_path / "t.csv")]) == 130
+        assert capfd.readouterr().err.splitlines() == ["interrupted"]
+        assert not multiprocessing.active_children()

@@ -1,5 +1,7 @@
 """Protocol steps, ensemble runs, convergence detection, and rate fits."""
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 from unittest import mock
 
@@ -194,7 +196,9 @@ class TestRunEnsemble:
     def test_worker_count_does_not_change_bits(self, monkeypatch):
         # R above 8 at N = 3 with one measure meets numpy's pairwise sum on
         # one-gate slices.  A batch of 3 realizations gives every process
-        # several chunks (forked pool workers inherit the patched value).
+        # several chunks (forked workers inherit the patched value).  Three
+        # cores let three workers run three slices.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for batch_entries in (randent.protocol._BATCH_ENTRIES, 3 << 3):
             monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", batch_entries)
             for measures in [(Measure.LINEAR,), (Measure.VON_NEUMANN,)]:
@@ -207,9 +211,10 @@ class TestRunEnsemble:
                     )
 
     def test_held_states_bounded(self, monkeypatch):
-        # With at most 5 held states, 13 realizations run in parts of 5, 4
-        # and 4, each to max_gates, in this process or in the pool, and
-        # give the bits of the run that holds them all.
+        # With at most 5 held states, 13 realizations run in parts, each to
+        # max_gates: of 5, 4 and 4 in this process, or of 4 and 3, and 3 and
+        # 3, in two workers' slices.  Both give the bits of the run that
+        # holds them all.
         config = make_config(num_qubits=3, realizations=13, max_gates=30)
         whole = run_ensemble(config, workers=1)
         held = []
@@ -221,6 +226,7 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(randent.protocol, "_chunks", recording)
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 5 * ((1 << 3) + 64))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for workers in (1, 2):
             parts = run_ensemble(config, workers=workers)
             np.testing.assert_array_equal(
@@ -233,7 +239,7 @@ class TestRunEnsemble:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(randent.protocol, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(multiprocessing.Process, "start", no_work)
         monkeypatch.setattr(randent.protocol, "_run_batch", no_work)
         for gates in (None, [make_config().fixed_gate]):
             with pytest.raises(ValueError, match="workers"):
@@ -343,7 +349,7 @@ _GATES = st.one_of(
 
 
 def _full_run(config):
-    """The run to max_gates, in parts of one realization, each run in full by _ensemble_worker."""
+    """The run to max_gates, in parts of one realization, each run through every recorded gate in one round."""
     with mock.patch.object(randent.protocol, "_HELD_ENTRIES", 0):
         return run_ensemble(config, workers=1)
 
@@ -423,9 +429,9 @@ class TestUntilConverged:
         assert streamed[0].gate_indices.size < config.max_gates + 1
         assert streamed[-1].gate_indices.size == config.max_gates + 1
         runs = {
-            # Two points per process, one task each.
+            # Every point, in two realization slices, one per worker process.
             "pooled": lambda: run_ensemble(config, workers=2, gates=gates),
-            # Fewer points than workers: each point's realizations over the pool, in full.
+            # Fewer points than workers: the same slices, each stopped at its window.
             "spread": lambda: run_ensemble(config, workers=3, gates=gates[:2]) + streamed[2:],
         }
         for name, run in runs.items():
