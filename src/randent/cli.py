@@ -280,8 +280,7 @@ def _execute_run(args) -> int:
     report = convergence_report(traj, config.threshold, config.confirm_window)
     if args.format == "csv":
         _write_csv(args.output, (), _TRAJECTORY_HEADER, _trajectory_rows(traj))
-        report_path = args.output.with_name(args.output.stem + "_report" + args.output.suffix)
-        _write_csv(report_path, (), _REPORT_HEADER, _report_rows(report))
+        _write_csv(_report_path(args.output), (), _REPORT_HEADER, _report_rows(report))
     else:
         if args.phi is not None:
             gate_desc = {"kind": "entangler", "phi": args.phi}
@@ -380,11 +379,18 @@ def _execute_baseline(args) -> int:
     return 0
 
 
+def _report_path(path: Path) -> Path:
+    """Where a CSV run writes its convergence report: <stem>_report<suffix> beside path."""
+    return path.with_name(path.stem + "_report" + path.suffix)
+
+
 def _check_output_dir(path: Path) -> None:
-    """Raise, before any work, the OSError that writing to path would raise for its directory."""
+    """Raise, before any work, the OSError that writing to path would raise for it or its directory."""
     parent = path.parent
     if not parent.is_dir():
         code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif path.is_dir():
+        code = errno.EISDIR
     elif not os.access(parent, os.W_OK):
         code = errno.EACCES
     else:
@@ -394,6 +400,8 @@ def _check_output_dir(path: Path) -> None:
 
 def execute(args) -> int:
     _check_output_dir(args.output)
+    if args.subcommand == "run" and args.format == "csv":
+        _check_output_dir(_report_path(args.output))
     if args.subcommand == "run":
         return _execute_run(args)
     if args.subcommand == "sweep-phi":

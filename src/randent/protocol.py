@@ -50,8 +50,8 @@ __all__ = [
 _BATCH_ENTRIES = 1 << 22
 
 # Most amplitudes one process holds at once (256 MiB), each realization's
-# random stream (about 1 KB) counted as 64 more: a slice above this is run
-# in parts, each to max_gates, and cannot stop early.
+# random stream (about 1 KB) counted as 64 more: an ensemble whose slices
+# would hold more runs in passes, each slice of which holds at most this.
 _HELD_ENTRIES = 1 << 24
 
 # Largest gate cap: gate counts are int64.
@@ -258,20 +258,16 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
-def _slice(config: ProtocolConfig, gates, parts):
-    """Answer function of one slice of the realizations at every point of a group.
+def _slice(config: ProtocolConfig, gates, indices):
+    """Answer function of the realizations indices, held at every point of a group.
 
     answer(live, rec) keeps the points of the boolean mask live, steps to
     each gate count in rec and returns the values (len(rec), points,
-    realizations, n_measures, levels).  A slice of one part is held between
-    answers; a slice of several holds one part at a time, from gate 0, so
-    it is asked once, for every recorded gate.
+    realizations, n_measures, levels).
     """
-    held = _chunks(config, parts[0], gates) if len(parts) == 1 else None
+    held = _chunks(config, indices, gates)
 
     def answer(live, rec):
-        if held is None:
-            return np.concatenate([_run_batch(config, _chunks(config, p, gates), rec) for p in parts], axis=2)
         if not all(live):
             for chunk in held:
                 chunk.fixed, chunk.amps = chunk.fixed[live], chunk.amps[live]
@@ -285,10 +281,10 @@ def _ensemble_worker(args):
 
     An exception raised by a request is sent back as its answer.
     """
-    config, gates, parts, conn = args
+    config, gates, indices, conn = args
     # The parent handles an interrupt, and ends its workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    answer = _slice(config, gates, parts)
+    answer = _slice(config, gates, indices)
     while (request := conn.recv()) is not None:
         try:
             conn.send(answer(*request))
@@ -297,16 +293,17 @@ def _ensemble_worker(args):
 
 
 @contextlib.contextmanager
-def _slices(config: ProtocolConfig, gates, parts):
-    """Yields a function that asks a group's slices (live, rec) and returns their answers in order.
+def _slices(config: ProtocolConfig, gates, slices):
+    """Yields a function that asks a pass's slices (live, rec) and returns their answers in order.
 
-    One slice, of parts[0], is held in this process.  More run in one
-    worker process each: an exception a worker answers is raised here, and
-    a worker that is gone raises BrokenProcessPool.  On leaving, each
-    worker is sent None, or ended if the block raised, and joined.
+    Each slice is an array of realization indices, held (see _slice).  One
+    slice is held in this process.  More run in one worker process each:
+    an exception a worker answers is raised here, and a worker that is
+    gone raises BrokenProcessPool.  On leaving, each worker is sent None,
+    or ended if the block raised, and joined.
     """
-    if len(parts) == 1:
-        answer = _slice(config, gates, parts[0])
+    if len(slices) == 1:
+        answer = _slice(config, gates, slices[0])
         yield lambda request: [answer(*request)]
         return
     workers = []
@@ -324,11 +321,11 @@ def _slices(config: ProtocolConfig, gates, parts):
         return answers
 
     try:
-        for slice_parts in parts:
+        for indices in slices:
             conn, child = multiprocessing.Pipe()
             # Resolved as each process is made, so a stand-in put under the name runs there.
             proc = multiprocessing.Process(
-                target=_ensemble_worker, args=((config, gates, slice_parts, child),), daemon=True
+                target=_ensemble_worker, args=((config, gates, indices, child),), daemon=True
             )
             proc.start()
             child.close()
@@ -404,9 +401,9 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
 
     Points share their realizations' streams, so one draw per stream per
     gate serves every point of a group; _ensemble_means lays out the
-    slices, groups and rounds, over min(workers, R, cores) processes.  The
-    result is bitwise independent of the worker count and of the layout;
-    workers=None means one process per core.
+    groups, passes, slices and rounds, over at most min(workers, R, cores)
+    processes at a time.  The result is bitwise independent of the worker
+    count and of the layout; workers=None means one process per core.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -428,7 +425,7 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
             num_qubits=config.num_qubits,
             gate_indices=rec[: len(kept)],
             measures=config.measures,
-            level_means={meas: np.array(kept)[:, k, :] for k, meas in enumerate(config.measures)},
+            level_means={meas: kept[:, k, :] for k, meas in enumerate(config.measures)},
             baselines=baselines,
         )
         for kept in series
@@ -436,56 +433,64 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     return trajs[0] if gates is None else trajs
 
 
-def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline=None) -> list[list[np.ndarray]]:
-    """Each point's ensemble means (n_measures, levels) at the recorded gates it reaches.
+def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline=None) -> list[np.ndarray]:
+    """Each point's ensemble means (T, n_measures, levels) at the T recorded gates it reaches.
 
-    Each point is config with one of gates as its fixed gate.  The
-    realizations are split into min(workers, R, cores) slices, each holding
-    every point of a group (see _slices).  Groups run one after another,
-    sized so that a slice is held within _HELD_ENTRIES, each realization
-    counted as points * 2^N amplitudes plus 64 for its random stream, and
-    so that one realization's points fit in one batch.  A slice above that
-    runs in parts, all in one round.  Otherwise a round takes at most
-    _BATCH_ENTRIES >> 4 values and, given the global linear baseline, ends
-    no later than the earliest close of a confirm window; a point stops
-    when its window closes.  Each gate's values are summed in realization
-    order by a cumsum, so every layout gives the same bits.
+    Each point is config with one of gates as its fixed gate.  Groups of
+    points run one after another, sized so that one realization's points
+    fit in one batch and, when they fit, so that min(workers, R, cores)
+    slices hold all R realizations within _HELD_ENTRIES each, a
+    realization counted as points * 2^N amplitudes plus 64 for its random
+    stream.  A group above that runs its realizations in passes of at most
+    that many slices, each held (see _slices).  A round takes at most
+    _BATCH_ENTRIES >> 4 values.  A pass before the last runs every
+    recorded gate and keeps only each gate's sums.  The last pass, given
+    the global linear baseline, ends a round no later than the earliest
+    close of a confirm window, and a point stops when its window closes.
+    Each gate's values are summed in realization order by a cumsum after
+    the sums of the passes before, so every layout gives the same bits.
     """
     r, n = config.realizations, config.num_qubits
-    slices = np.array_split(np.arange(r), min(workers or r, r, os.cpu_count() or 1))
-    size = max(1, min(_HELD_ENTRIES // len(slices[0]) - 64, _BATCH_ENTRIES) >> n)
-    width = r * len(config.measures) * (n // 2)
+    procs = min(workers or r, r, os.cpu_count() or 1)
+    size = max(1, min(_HELD_ENTRIES // -(-r // procs) - 64, _BATCH_ENTRIES) >> n)
     rec = record_gate_indices(config)
     window = config.confirm_window
     out = []
     for lo in range(0, len(gates), size):
         group = gates[lo : lo + size]
-        per_part = max(1, _HELD_ENTRIES // ((len(group) << n) + 64))
-        parts = [np.array_split(s, -(-len(s) // per_part)) for s in slices]
-        kept = [[] for _ in group]
-        runs = [0] * len(group)
-        live, mask, done = list(range(len(group))), [True] * len(group), 0
-        with _slices(config, group, parts) as ask:
-            while live and done < len(rec):
-                k = len(rec) - done
-                if len(parts[0]) == 1:
-                    k = min(k, max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))))
-                    if baseline is not None:
+        per_pass = procs * max(1, _HELD_ENTRIES // ((len(group) << n) + 64))
+        passes = np.array_split(np.arange(r), -(-r // per_pass))
+        sums = None
+        for p, indices in enumerate(passes):
+            last = p == len(passes) - 1
+            judge = baseline if last else None
+            width = len(indices) * len(config.measures) * (n // 2)
+            kept, runs = [[] for _ in group], [0] * len(group)
+            live, mask, done = list(range(len(group))), [True] * len(group), 0
+            with _slices(config, group, np.array_split(indices, min(procs, len(indices)))) as ask:
+                while live and done < len(rec):
+                    k = min(len(rec) - done, max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))))
+                    if judge is not None:
                         k = min(k, window + 1 - max(runs[a] for a in live))
-                vals = np.concatenate(ask((mask, rec[done : done + k])), axis=2)
-                done += k
-                for means in np.cumsum(vals, axis=2)[:, :, -1] / r:
-                    passed = [False] * len(live)
-                    if baseline is not None:
-                        linear = means[:, config.measures.index(Measure.LINEAR)]
-                        passed = _delta(linear, baseline) <= config.threshold
-                    for a, mean, ok in zip(live, means, passed):
-                        if runs[a] <= window:
-                            kept[a].append(mean)
-                            runs[a] = runs[a] + 1 if ok else 0
-                mask = [runs[a] <= window for a in live]
-                live = [a for a, ok in zip(live, mask) if ok]
-        out += kept
+                    vals = np.concatenate(ask((mask, rec[done : done + k])), axis=2)
+                    if sums is not None:
+                        vals = np.concatenate([sums[done : done + k, live, np.newaxis], vals], axis=2)
+                    done += k
+                    # A copy, so that the rows kept do not hold the whole cumsum.
+                    for total in np.cumsum(vals, axis=2)[:, :, -1].copy():
+                        passed = [False] * len(live)
+                        if judge is not None:
+                            linear = total[:, config.measures.index(Measure.LINEAR)] / r
+                            passed = _delta(linear, judge) <= config.threshold
+                        for a, row, ok in zip(live, total, passed):
+                            if runs[a] <= window:
+                                kept[a].append(row)
+                                runs[a] = runs[a] + 1 if ok else 0
+                    mask = [runs[a] <= window for a in live]
+                    live = [a for a, ok in zip(live, mask) if ok]
+            if not last:
+                sums = np.stack(kept, axis=1)
+        out += [np.array(rows) / r for rows in kept]
     return out
 
 

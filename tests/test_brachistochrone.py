@@ -282,17 +282,45 @@ class TestEarlyExit:
         assert steps.value == (n + config.confirm_window) * config.realizations
         assert not here
 
-    def test_point_above_held_states_runs_in_full(self, gate_steps, monkeypatch):
+    def test_point_above_held_states_stops_in_last_pass(self, gate_steps, monkeypatch):
         config = base_config(
             num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
             max_gates=600, seed=42, threshold=0.01, confirm_window=10,
         )
         n = _converged_count(config)
         gate_steps.clear()
-        # Parts of 25 realizations are not held at once: each runs to the cap.
+        # Two passes of 25 realizations: the first runs to the cap, the last
+        # stops at the window.
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 50 * ((1 << 4) + 64) - 1)
         assert _converged_count(config) == n
-        assert sum(gate_steps) == config.max_gates * config.realizations
+        assert sum(gate_steps) == config.max_gates * 25 + (n + config.confirm_window) * 25
+
+    def test_pooled_sweep_in_passes(self, monkeypatch):
+        # Each point's 50 realizations take two passes of 25, each pass in
+        # two worker processes: the first pass runs to the cap, the last
+        # stops at the window.  The steps are counted across the processes.
+        config = base_config(
+            num_qubits=4, realizations=50, max_gates=600, seed=42, threshold=0.01, confirm_window=10,
+        )
+        phis = [math.pi / 2, math.pi / 3]
+        table = sweep_phi(config, phis, workers=1)
+        counts = [row.n_gates for row in table.rows]
+        assert None not in counts
+        steps = multiprocessing.Value("q", 0)
+        kernel = randent.protocol._apply_pair_batch
+
+        def counting(amps, num_qubits, ii, jj, mats):
+            with steps.get_lock():
+                steps.value += len(ii)
+            return kernel(amps, num_qubits, ii, jj, mats)
+
+        monkeypatch.setattr(randent.protocol, "_apply_pair_batch", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # Slices of at most 13 realizations are held: passes of at most 26.
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 13 * ((1 << 4) + 64))
+        assert sweep_phi(config, phis, workers=2) == table
+        want = [config.max_gates * 25 + (n + config.confirm_window) * 25 for n in counts]
+        assert steps.value == sum(want)
 
     @pytest.fixture
     def pick_pairs(self, monkeypatch):

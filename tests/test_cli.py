@@ -220,8 +220,13 @@ class TestRunCommand:
 
         monkeypatch.setattr(randent.cli, "run_ensemble", no_work)
         monkeypatch.setattr(brachistochrone, "run_ensemble", no_work)
-        out = tmp_path / "missing_dir" / "t.csv"
-        for command in ("run", "sweep-phi", "sweep-lambda"):
+        missing = tmp_path / "missing_dir" / "t.csv"
+        directory = tmp_path / "adir"
+        directory.mkdir()
+        # A CSV run also writes r_report.csv beside r.csv.
+        (tmp_path / "r_report.csv").mkdir()
+        cases = [(c, out) for c in ("run", "sweep-phi", "sweep-lambda") for out in (missing, directory)]
+        for command, out in [*cases, ("run", tmp_path / "r.csv")]:
             assert main([command, *FAST_RUN, "--output", str(out)]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("i/o error:"), err

@@ -211,10 +211,10 @@ class TestRunEnsemble:
                     )
 
     def test_held_states_bounded(self, monkeypatch):
-        # With at most 5 held states, 13 realizations run in parts, each to
-        # max_gates: of 5, 4 and 4 in this process, or of 4 and 3, and 3 and
-        # 3, in two workers' slices.  Both give the bits of the run that
-        # holds them all.
+        # With at most 5 held states, 13 realizations run in passes: of 5, 4
+        # and 4 in this process, or of 7 and 6, each in two workers' slices
+        # (4 and 3, then 3 and 3).  Both give the bits of the run that holds
+        # them all.
         config = make_config(num_qubits=3, realizations=13, max_gates=30)
         whole = run_ensemble(config, workers=1)
         held = []
@@ -233,6 +233,31 @@ class TestRunEnsemble:
                 whole.level_means[Measure.LINEAR], parts.level_means[Measure.LINEAR]
             )
         assert held == [5, 4, 4]
+
+    def test_round_values_bounded(self, monkeypatch):
+        # Two passes of 3 realizations: no call returns more than the round
+        # budget of values, or than one recorded gate's values.
+        config = make_config(num_qubits=3, realizations=6, max_gates=200)
+        whole = run_ensemble(config, workers=1)
+        shapes = []
+        run_batch = randent.protocol._run_batch
+
+        def recording(config, chunks, rec):
+            vals = run_batch(config, chunks, rec)
+            shapes.append(vals.shape)
+            return vals
+
+        monkeypatch.setattr(randent.protocol, "_run_batch", recording)
+        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", 1 << 12)
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 3 * ((1 << 3) + 64))
+        passes = run_ensemble(config, workers=1)
+        np.testing.assert_array_equal(
+            whole.level_means[Measure.LINEAR], passes.level_means[Measure.LINEAR]
+        )
+        assert {shape[2] for shape in shapes} == {3}
+        assert sum(shape[0] for shape in shapes) == 2 * (config.max_gates + 1)
+        budget = (1 << 12) >> 4
+        assert all(shape[0] == 1 or math.prod(shape) <= budget for shape in shapes), shapes
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
@@ -349,7 +374,7 @@ _GATES = st.one_of(
 
 
 def _full_run(config):
-    """The run to max_gates, in parts of one realization, each run through every recorded gate in one round."""
+    """The run to max_gates, in passes of one realization, each summed after the passes before it."""
     with mock.patch.object(randent.protocol, "_HELD_ENTRIES", 0):
         return run_ensemble(config, workers=1)
 
@@ -383,7 +408,7 @@ class TestUntilConverged:
     )
     def test_prefix_of_full_run(self, gate, **kw):
         config = ProtocolConfig(fixed_gate=gate, measures=(Measure.LINEAR,), **kw)
-        # The reference runs its parts to max_gates, not gate by gate to the window.
+        # The reference runs passes of one realization, every pass but the last to max_gates.
         full = _full_run(config)
         (early,) = run_ensemble(config, workers=1, gates=[gate])
         want = _count(full, config)
@@ -443,10 +468,11 @@ class TestUntilConverged:
         # Two chunks per group, still held at once: the run stops at each window.
         monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (4 * 6 << 4) - 1)
         batched = run_ensemble(config, workers=1, gates=gates)
-        # Groups of one point, each in two parts run to max_gates and cut.
+        # Groups of one point, each in two passes: the first runs to max_gates,
+        # the last stops at the window.
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 6 * ((1 << 4) + 64) - 1)
-        parts = run_ensemble(config, workers=1, gates=gates)
-        for other in (batched, parts):
+        passes = run_ensemble(config, workers=1, gates=gates)
+        for other in (batched, passes):
             for traj, want in zip(other, streamed, strict=True):
                 np.testing.assert_array_equal(traj.gate_indices, want.gate_indices)
                 np.testing.assert_array_equal(
