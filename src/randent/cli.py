@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from .protocol import (
     Geometry,
     ProtocolConfig,
     Trajectory,
+    WorkerError,
     convergence_report,
     run_ensemble,
 )
@@ -52,6 +52,7 @@ _EXIT_IO = 2
 _EXIT_NOT_CONVERGED = 3
 _EXIT_SPECTRUM = 4
 _EXIT_WORKER = 5
+_EXIT_MEMORY = 6
 _EXIT_INTERRUPTED = 130
 
 
@@ -425,9 +426,12 @@ def main(argv=None) -> int:
     except SpectrumError as exc:
         print(f"spectrum error: {exc}", file=sys.stderr)
         return _EXIT_SPECTRUM
-    except BrokenProcessPool as exc:
+    except WorkerError as exc:
         print(f"worker process failed: {exc}", file=sys.stderr)
         return _EXIT_WORKER
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
+        return _EXIT_MEMORY
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return _EXIT_INTERRUPTED

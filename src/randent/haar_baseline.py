@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import Measure, _check_level, _level_values
+from .entanglement import EntanglementProfile, Measure, _check_level, _level_values
 from .qstate import StateVector
 
 __all__ = [
-    "BaselineTable",
     "MonteCarloEstimate",
     "lubkin_linear_baseline",
     "page_vn_baseline",
@@ -36,19 +35,6 @@ _MAX_SAMPLE_QUBITS = 16
 
 # States drawn and measured per batch by monte_carlo_baseline.
 _SAMPLE_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class BaselineTable:
-    """Haar-average per-level values and their mean, for one measure."""
-
-    num_qubits: int
-    measure: Measure
-    per_level: tuple[float, ...]
-
-    @property
-    def global_value(self) -> float:
-        return sum(self.per_level) / len(self.per_level)
 
 
 @dataclass(frozen=True)
@@ -93,14 +79,14 @@ def baseline_level(num_qubits: int, m: int, measure: Measure) -> float:
     return page_vn_baseline(num_qubits, m)
 
 
-def haar_global_baseline(num_qubits: int, measure: Measure) -> BaselineTable:
+def haar_global_baseline(num_qubits: int, measure: Measure) -> EntanglementProfile:
     """Per-level Haar baselines for m = 1..floor(N/2) plus their mean."""
     if num_qubits < 2:
         raise ValueError(f"need at least 2 qubits, got {num_qubits}")
     per_level = tuple(
         baseline_level(num_qubits, m, measure) for m in range(1, num_qubits // 2 + 1)
     )
-    return BaselineTable(num_qubits=num_qubits, measure=measure, per_level=per_level)
+    return EntanglementProfile(measure=measure, per_level=per_level)
 
 
 def _haar_amplitudes(num_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,6 @@ import multiprocessing
 import operator
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,7 @@ __all__ = [
     "Trajectory",
     "ConvergenceEntry",
     "ConvergenceReport",
+    "WorkerError",
     "pick_pair",
     "step",
     "record_gate_indices",
@@ -62,6 +62,10 @@ _MAX_GATES = 1 << 62
 # takes about 0.2 ms and 0.6 KB per recorded gate (measured at 2^16), so
 # 2^20 of them take minutes and under 1 GB.
 _MAX_RECORDED = 1 << 20
+
+
+class WorkerError(RuntimeError):
+    """A worker process of an ensemble ended before it answered."""
 
 
 class Geometry(enum.Enum):
@@ -297,10 +301,10 @@ def _slices(config: ProtocolConfig, gates, slices):
     """Yields a function that asks a pass's slices (live, rec) and returns their answers in order.
 
     Each slice is an array of realization indices, held (see _slice).  One
-    slice is held in this process.  More run in one worker process each:
-    an exception a worker answers is raised here, and a worker that is
-    gone raises BrokenProcessPool.  On leaving, each worker is sent None,
-    or ended if the block raised, and joined.
+    slice is held in this process; more run in one worker process each,
+    for this pass only.  An exception a worker answers is raised here, and
+    a worker that is gone raises WorkerError.  On leaving, each worker is
+    sent None, or ended if the block raised, and joined.
     """
     if len(slices) == 1:
         answer = _slice(config, gates, slices[0])
@@ -314,7 +318,7 @@ def _slices(config: ProtocolConfig, gates, slices):
                 conn.send(request)
             answers = [conn.recv() for _, conn in workers] if request is not None else []
         except (EOFError, OSError) as exc:
-            raise BrokenProcessPool("a worker process ended abruptly") from exc
+            raise WorkerError("a worker process ended abruptly") from exc
         for got in answers:
             if isinstance(got, Exception):
                 raise got
@@ -445,8 +449,8 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
     that many slices, each held (see _slices).  A round takes at most
     _BATCH_ENTRIES >> 4 values.  A pass before the last runs every
     recorded gate and keeps only each gate's sums.  The last pass, given
-    the global linear baseline, ends a round no later than the earliest
-    close of a confirm window, and a point stops when its window closes.
+    the global linear baseline, ends a round no later than the first row
+    that can close a confirm window, and stops a point when its window closes.
     Each gate's values are summed in realization order by a cumsum after
     the sums of the passes before, so every layout gives the same bits.
     """
@@ -471,6 +475,7 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
                 while live and done < len(rec):
                     k = min(len(rec) - done, max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))))
                     if judge is not None:
+                        # A row adds at most one to a run, so only a round's last row closes a window.
                         k = min(k, window + 1 - max(runs[a] for a in live))
                     vals = np.concatenate(ask((mask, rec[done : done + k])), axis=2)
                     if sums is not None:
@@ -483,9 +488,8 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
                             linear = total[:, config.measures.index(Measure.LINEAR)] / r
                             passed = _delta(linear, judge) <= config.threshold
                         for a, row, ok in zip(live, total, passed):
-                            if runs[a] <= window:
-                                kept[a].append(row)
-                                runs[a] = runs[a] + 1 if ok else 0
+                            kept[a].append(row)
+                            runs[a] = runs[a] + 1 if ok else 0
                     mask = [runs[a] <= window for a in live]
                     live = [a for a, ok in zip(live, mask) if ok]
             if not last:

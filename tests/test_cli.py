@@ -5,8 +5,8 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
-
-from concurrent.futures.process import BrokenProcessPool
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from randent import brachistochrone, entanglement, haar_baseline, protocol, qsta
 from randent.cli import MAX_GRID_POINTS, UsageError, _parse_grid, main, parse_args
 from randent.entanglement import SpectrumError
 from randent.haar_baseline import lubkin_linear_baseline
+from randent.protocol import WorkerError
 
 FAST_RUN = ["--qubits", "3", "--realizations", "4", "--max-gates", "20", "--workers", "1"]
 
@@ -134,6 +135,14 @@ def test_public_names_reexported(module):
         assert getattr(randent, name) is getattr(module, name), name
 
 
+def test_cli_imports_no_executor():
+    """The ensemble starts its own worker processes: importing the CLI loads no concurrent.futures."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    code = "import sys, randent.cli; print([m for m in sys.modules if m.split('.')[0] == 'concurrent'])"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestBaselineCommand:
     def test_two_qubit_linear_csv(self, tmp_path):
         out = tmp_path / "base.csv"
@@ -241,8 +250,9 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("exc, code", [
         (SpectrumError("marginal eigenvalue -0.5 below -1e-10"), 4),
-        (BrokenProcessPool("a worker process ended abruptly"), 5),
+        (WorkerError("a worker process ended abruptly"), 5),
         (KeyboardInterrupt(), 130),
+        (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"), 6),
     ])
     def test_failure_exit_codes(self, exc, code, monkeypatch, tmp_path, capsys):
         def fail(*args, **kwargs):

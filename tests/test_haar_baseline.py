@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from randent.entanglement import Measure
+from randent.entanglement import EntanglementProfile, Measure
 from randent.haar_baseline import (
     haar_global_baseline,
     lubkin_linear_baseline,
@@ -53,6 +53,7 @@ class TestPage:
 class TestGlobalBaseline:
     def test_two_qubit_tables(self):
         lin = haar_global_baseline(2, Measure.LINEAR)
+        assert isinstance(lin, EntanglementProfile)
         assert lin.per_level == (lubkin_linear_baseline(2, 1),)
         assert abs(lin.global_value - 0.4) < 1e-15
         von = haar_global_baseline(2, Measure.VON_NEUMANN)
