@@ -53,6 +53,12 @@ def physical_time(n_gates: int, phi: float, omega: float = 1.0) -> float:
     return t
 
 
+def _check_phi_times(max_gates: int, phi_grid, omega: float) -> None:
+    """Raise the ValueError of any angle whose time at max_gates gates is invalid or not finite."""
+    for phi in phi_grid:
+        physical_time(max_gates, phi, omega)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     phi: float
@@ -122,8 +128,10 @@ def sweep_phi(
     each stream draws once per gate for all of them.  A grid point stops as
     its confirm window closes; one not converged by max_gates has no gate
     count.  Every point's realizations are split over min(workers, R,
-    cores) processes (see _converged_counts).
+    cores) processes (see _converged_counts).  The longest time a row can
+    report is checked for each angle before any ensemble runs.
     """
+    _check_phi_times(base_config.max_gates, phi_grid, omega)
     counts = _converged_counts(base_config, [entangler_gate(phi) for phi in phi_grid], workers)
     return assemble_sweep_table(phi_grid, counts, omega)
 

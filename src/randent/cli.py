@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .brachistochrone import physical_time, sweep_lambda, sweep_phi
+from .brachistochrone import _check_phi_times, sweep_lambda, sweep_phi
 from .entanglement import Measure, SpectrumError
 from .haar_baseline import haar_global_baseline
 from .protocol import (
-    ConvergenceReport,
+    FIT_WINDOW,
+    ConvergenceEntry,
     Geometry,
     ProtocolConfig,
     Trajectory,
@@ -107,7 +108,6 @@ def _parse_grid(text: str) -> list[float]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qubits", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--output", type=Path, default=None)
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -116,13 +116,14 @@ def _add_protocol(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--geometry",
         choices=[g.value for g in Geometry],
-        default=Geometry.NONLOCAL.value,
+        default=ProtocolConfig.geometry.value,
     )
-    parser.add_argument("--realizations", type=int, default=1000)
-    parser.add_argument("--max-gates", type=int, default=400)
-    parser.add_argument("--eval-stride", type=int, default=1)
-    parser.add_argument("--threshold", type=float, default=0.01)
-    parser.add_argument("--confirm-window", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=ProtocolConfig.seed)
+    parser.add_argument("--realizations", type=int, default=ProtocolConfig.realizations)
+    parser.add_argument("--max-gates", type=int, default=ProtocolConfig.max_gates)
+    parser.add_argument("--eval-stride", type=int, default=ProtocolConfig.eval_stride)
+    parser.add_argument("--threshold", type=float, default=ProtocolConfig.threshold)
+    parser.add_argument("--confirm-window", type=int, default=ProtocolConfig.confirm_window)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--require-convergence", action="store_true")
 
@@ -211,9 +212,7 @@ def _protocol_config(args) -> ProtocolConfig:
         confirm_window=args.confirm_window,
     )
     if args.subcommand == "sweep-phi":
-        # The longest time a row can report, checked before any ensemble runs.
-        for phi in args.phi_grid:
-            physical_time(config.max_gates, phi, args.omega)
+        _check_phi_times(config.max_gates, args.phi_grid, args.omega)
     return config
 
 
@@ -270,9 +269,9 @@ def _trajectory_rows(traj: Trajectory):
             yield int(g), measure.value, name, float(mean[k]), float(delta[k])
 
 
-def _report_rows(report: ConvergenceReport):
-    for e in report.entries:
-        yield e.measure.value, _level_name(e.level), e.n_gates, e.decay_rate, e.fit_hi, e.fit_lo
+def _report_rows(report: dict[tuple[Measure, int | None], ConvergenceEntry]):
+    for (measure, level), e in report.items():
+        yield measure.value, _level_name(level), e.n_gates, e.decay_rate, *FIT_WINDOW
 
 
 def _execute_run(args) -> int:
@@ -318,7 +317,7 @@ def _execute_run(args) -> int:
         )
     failed = []
     for measure in config.measures:
-        e = report.entry(measure, None)
+        e = report[measure, None]
         status = f"n_gates={e.n_gates}" if e.n_gates is not None else "not converged"
         rate = f" decay_rate={_fmt(e.decay_rate)}" if e.decay_rate is not None else ""
         print(f"{measure.value} global: {status}{rate}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import StateVector
+from .qstate import MAX_QUBITS, StateVector
 
 __all__ = [
     "Measure",
@@ -53,7 +53,6 @@ class SpectrumError(RuntimeError):
 class EntanglementProfile:
     """Per-level averages E^(m), m = 1..floor(N/2), for one measure."""
 
-    measure: Measure
     per_level: tuple[float, ...]
 
     @property
@@ -62,6 +61,8 @@ class EntanglementProfile:
 
 
 def _check_level(num_qubits: int, m: int) -> None:
+    if num_qubits > MAX_QUBITS:
+        raise ValueError(f"num_qubits must be <= {MAX_QUBITS}, got {num_qubits}")
     if not 1 <= m <= num_qubits // 2:
         raise ValueError(f"m must be in [1, {num_qubits // 2}] for {num_qubits} qubits, got {m}")
 
@@ -202,4 +203,4 @@ def global_entanglement(state: StateVector, measure: Measure) -> EntanglementPro
     if state.num_qubits < 2:
         raise ValueError("global entanglement needs at least 2 qubits")
     vals = _profile_values(state.amplitudes[np.newaxis, :], state.num_qubits, (measure,))[0, 0]
-    return EntanglementProfile(measure=measure, per_level=tuple(float(v) for v in vals))
+    return EntanglementProfile(per_level=tuple(float(v) for v in vals))

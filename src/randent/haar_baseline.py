@@ -33,15 +33,15 @@ __all__ = [
 
 _MAX_SAMPLE_QUBITS = 16
 
-# States drawn and measured per batch by monte_carlo_baseline.
-_SAMPLE_CHUNK = 4096
+# Most amplitudes of the states monte_carlo_baseline draws and measures per
+# batch: 4096 states at N=10, 64 at N=16, 64 MiB of amplitudes either way.
+_SAMPLE_AMPLITUDES = 1 << 22
 
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     mean: float
     std_error: float
-    samples: int
 
 
 def lubkin_linear_baseline(num_qubits: int, m: int) -> float:
@@ -86,7 +86,7 @@ def haar_global_baseline(num_qubits: int, measure: Measure) -> EntanglementProfi
     per_level = tuple(
         baseline_level(num_qubits, m, measure) for m in range(1, num_qubits // 2 + 1)
     )
-    return EntanglementProfile(measure=measure, per_level=per_level)
+    return EntanglementProfile(per_level=per_level)
 
 
 def _haar_amplitudes(num_qubits: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,20 +117,20 @@ def monte_carlo_baseline(
 ) -> MonteCarloEstimate:
     """Estimate the level-m Haar average by sampling random pure states.
 
-    States are drawn in fixed-size chunks from the single stream, which
-    consumes the generator exactly like one draw per state.
+    States are drawn in chunks of at most _SAMPLE_AMPLITUDES amplitudes
+    (at least one state) from the single stream, which consumes the
+    generator exactly like one draw per state.
     """
     _check_level(num_qubits, m)
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
     values = np.empty(samples)
+    chunk = max(1, _SAMPLE_AMPLITUDES >> num_qubits)
     done = 0
     while done < samples:
-        b = min(_SAMPLE_CHUNK, samples - done)
+        b = min(chunk, samples - done)
         z = _haar_amplitudes(num_qubits, b, rng)
         values[done : done + b] = _level_values(z, num_qubits, m, (measure,))[:, 0]
         done += b
     std = float(values.std(ddof=1))
-    return MonteCarloEstimate(
-        mean=float(values.mean()), std_error=std / math.sqrt(samples), samples=samples
-    )
+    return MonteCarloEstimate(mean=float(values.mean()), std_error=std / math.sqrt(samples))

@@ -34,7 +34,6 @@ __all__ = [
     "ProtocolConfig",
     "Trajectory",
     "ConvergenceEntry",
-    "ConvergenceReport",
     "WorkerError",
     "pick_pair",
     "step",
@@ -44,6 +43,7 @@ __all__ = [
     "convergence_gate_count",
     "fit_decay_rate",
     "convergence_report",
+    "FIT_WINDOW",
 ]
 
 # Most amplitudes (complex128 entries) one numpy call advances.
@@ -62,6 +62,9 @@ _MAX_GATES = 1 << 62
 # takes about 0.2 ms and 0.6 KB per recorded gate (measured at 2^16), so
 # 2^20 of them take minutes and under 1 GB.
 _MAX_RECORDED = 1 << 20
+
+# The deltas fit_decay_rate fits, (hi, lo): those in [lo, hi].
+FIT_WINDOW = (0.5, 0.02)
 
 
 class WorkerError(RuntimeError):
@@ -516,8 +519,8 @@ def convergence_gate_count(
     traj: Trajectory,
     measure: Measure,
     level: int | None = None,
-    threshold: float = 0.01,
-    confirm_window: int = 10,
+    threshold: float = ProtocolConfig.threshold,
+    confirm_window: int = ProtocolConfig.confirm_window,
 ) -> int | None:
     """First recorded gate count with delta <= threshold, confirmed.
 
@@ -533,24 +536,17 @@ def convergence_gate_count(
     return int(traj.gate_indices[first]) if first is not None else None
 
 
-def fit_decay_rate(
-    traj: Trajectory,
-    measure: Measure,
-    level: int | None = None,
-    fit_hi: float = 0.5,
-    fit_lo: float = 0.02,
-) -> float | None:
+def fit_decay_rate(traj: Trajectory, measure: Measure, level: int | None = None) -> float | None:
     """Exponential decay rate of delta per gate, from a log-linear fit.
 
     Ordinary least squares of ln(delta) against gate count, restricted to
-    recorded points with delta in [fit_lo, fit_hi].  Returns None when
+    recorded points with delta in [lo, hi] of FIT_WINDOW.  Returns None when
     fewer than 5 points fall in the window or the fitted rate is not
     positive.
     """
-    if not fit_hi > fit_lo > 0.0:
-        raise ValueError(f"need fit_hi > fit_lo > 0, got ({fit_hi}, {fit_lo})")
+    hi, lo = FIT_WINDOW
     delta = traj.delta_series(measure, level)
-    mask = (delta >= fit_lo) & (delta <= fit_hi)
+    mask = (delta >= lo) & (delta <= hi)
     if int(mask.sum()) < 5:
         return None
     slope = np.polyfit(traj.gate_indices[mask], np.log(delta[mask]), 1)[0]
@@ -560,48 +556,19 @@ def fit_decay_rate(
 
 @dataclass(frozen=True)
 class ConvergenceEntry:
-    measure: Measure
-    level: int | None  # None is the global measure
     n_gates: int | None  # None when not converged
     decay_rate: float | None  # None when unfit
-    fit_hi: float
-    fit_lo: float
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    threshold: float
-    confirm_window: int
-    entries: tuple[ConvergenceEntry, ...]
-
-    def entry(self, measure: Measure, level: int | None = None) -> ConvergenceEntry:
-        for e in self.entries:
-            if e.measure is measure and e.level == level:
-                return e
-        raise KeyError(f"no entry for ({measure}, {level})")
 
 
 def convergence_report(
     traj: Trajectory,
-    threshold: float = 0.01,
-    confirm_window: int = 10,
-    fit_hi: float = 0.5,
-    fit_lo: float = 0.02,
-) -> ConvergenceReport:
-    """Convergence gate count and decay rate for every level and the global value."""
-    entries = []
+    threshold: float = ProtocolConfig.threshold,
+    confirm_window: int = ProtocolConfig.confirm_window,
+) -> dict[tuple[Measure, int | None], ConvergenceEntry]:
+    """Convergence gate count and decay rate of each series, keyed by (measure, level) in series order."""
+    report = {}
     for measure in traj.measures:
         for level in traj.levels:
-            entries.append(
-                ConvergenceEntry(
-                    measure=measure,
-                    level=level,
-                    n_gates=convergence_gate_count(traj, measure, level, threshold, confirm_window),
-                    decay_rate=fit_decay_rate(traj, measure, level, fit_hi, fit_lo),
-                    fit_hi=fit_hi,
-                    fit_lo=fit_lo,
-                )
-            )
-    return ConvergenceReport(
-        threshold=threshold, confirm_window=confirm_window, entries=tuple(entries)
-    )
+            n_gates = convergence_gate_count(traj, measure, level, threshold, confirm_window)
+            report[measure, level] = ConvergenceEntry(n_gates, fit_decay_rate(traj, measure, level))
+    return report

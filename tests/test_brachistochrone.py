@@ -207,6 +207,17 @@ class TestSweeps:
         assert len(started) == 2 + 2
 
 
+@pytest.mark.parametrize("omega", [0.0, 1e-307])
+def test_sweep_checks_times_before_any_ensemble(omega, monkeypatch):
+    # At omega 1e-307 each gate time is finite, but not the time of max_gates of them.
+    def no_work(*args, **kwargs):
+        raise AssertionError("ensemble started")
+
+    monkeypatch.setattr(randent.brachistochrone, "_converged_counts", no_work)
+    with pytest.raises(ValueError, match="omega"):
+        sweep_phi(base_config(), [math.pi / 4, math.pi / 2], omega=omega, workers=1)
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 def test_workers_below_one_rejected(workers, monkeypatch):
     def no_work(*args, **kwargs):

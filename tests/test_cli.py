@@ -95,6 +95,8 @@ class TestParseArgs:
         ["sweep-phi", "--max-gates", "1" + "0" * 400],
         # Too many recorded gates: used to die in numpy with "array is too big".
         ["run", "--qubits", "2", "--realizations", "1", "--max-gates", "2000000000000000000"],
+        # The baseline draws nothing, so it takes no seed.
+        ["baseline", "--seed", "5"],
     ])
     def test_invalid_settings_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(UsageError):

@@ -18,7 +18,7 @@ from randent.entanglement import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from randent.qstate import StateVector, rng_stream
+from randent.qstate import MAX_QUBITS, StateVector, rng_stream
 
 
 def random_state(n, rng):
@@ -66,7 +66,7 @@ class TestEnumerateBipartitions:
     def test_two_qubits(self):
         assert enumerate_bipartitions(2, 1) == [(0,)]
 
-    @pytest.mark.parametrize("n,m", [(6, 0), (6, 4), (4, 3)])
+    @pytest.mark.parametrize("n,m", [(6, 0), (6, 4), (4, 3), (MAX_QUBITS + 1, 1)])
     def test_range(self, n, m):
         with pytest.raises(ValueError):
             enumerate_bipartitions(n, m)

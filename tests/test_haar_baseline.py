@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import randent.haar_baseline as haar_baseline
 from randent.entanglement import EntanglementProfile, Measure
 from randent.haar_baseline import (
     haar_global_baseline,
@@ -12,7 +13,7 @@ from randent.haar_baseline import (
     page_vn_baseline,
     sample_haar_state,
 )
-from randent.qstate import rng_stream
+from randent.qstate import MAX_QUBITS, rng_stream
 
 
 class TestLubkin:
@@ -34,6 +35,8 @@ class TestLubkin:
     def test_range_check(self):
         with pytest.raises(ValueError):
             lubkin_linear_baseline(4, 3)
+        with pytest.raises(ValueError, match="num_qubits"):
+            lubkin_linear_baseline(MAX_QUBITS + 1, 1)
 
 
 class TestPage:
@@ -58,6 +61,11 @@ class TestGlobalBaseline:
         assert abs(lin.global_value - 0.4) < 1e-15
         von = haar_global_baseline(2, Measure.VON_NEUMANN)
         assert abs(von.global_value - 0.48089834696298783) < 1e-12
+
+    def test_qubit_cap(self):
+        # Unbounded, the von Neumann table at N=40 would sum about 2*10^13 harmonic terms.
+        with pytest.raises(ValueError, match="num_qubits"):
+            haar_global_baseline(MAX_QUBITS + 1, Measure.LINEAR)
 
     def test_monotone_in_n(self):
         assert (
@@ -116,6 +124,29 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             monte_carlo_baseline(2, 1, Measure.LINEAR, 50, rng_stream(37))
+
+    @pytest.mark.parametrize(
+        "n, samples, want", [(16, 200, [64, 64, 64, 8]), (12, 2500, [1024, 1024, 452])]
+    )
+    def test_batches_bounded_by_amplitudes(self, n, samples, want, monkeypatch):
+        # Stand-ins that allocate nothing large record the states of each batch.
+        batches = []
+
+        def amplitudes(num_qubits, count, rng):
+            batches.append(count)
+            return np.zeros((count, 1))
+
+        monkeypatch.setattr(haar_baseline, "_haar_amplitudes", amplitudes)
+        monkeypatch.setattr(haar_baseline, "_level_values", lambda z, *args: np.zeros((len(z), 1)))
+        monte_carlo_baseline(n, 1, Measure.LINEAR, samples, rng_stream(39))
+        assert batches == want
+
+    @pytest.mark.parametrize("budget", [1, 7 << 6])
+    def test_batch_size_leaves_values(self, budget, monkeypatch):
+        cases = [(n, m, meas) for n, m in ((4, 2), (6, 3)) for meas in Measure]
+        want = [monte_carlo_baseline(*case, 300, rng_stream(40)) for case in cases]
+        monkeypatch.setattr(haar_baseline, "_SAMPLE_AMPLITUDES", budget)
+        assert [monte_carlo_baseline(*case, 300, rng_stream(40)) for case in cases] == want
 
 
 def test_global_profile_of_random_states_matches_table():

@@ -3,7 +3,6 @@ import math
 import multiprocessing
 import os
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ import randent.protocol
 from randent.entanglement import Measure, global_entanglement
 from randent.haar_baseline import haar_global_baseline
 from randent.protocol import (
+    ConvergenceEntry,
     Geometry,
     ProtocolConfig,
     Trajectory,
@@ -374,9 +374,17 @@ _GATES = st.one_of(
 
 
 def _full_run(config):
-    """The run to max_gates, in passes of one realization, each summed after the passes before it."""
-    with mock.patch.object(randent.protocol, "_HELD_ENTRIES", 0):
-        return run_ensemble(config, workers=1)
+    """The run to max_gates, from each realization's own run summed in realization order."""
+    r = config.realizations
+    series = np.stack([run_realization(config, i)[Measure.LINEAR] for i in range(r)])
+    baselines = haar_global_baseline(config.num_qubits, Measure.LINEAR).per_level
+    return Trajectory(
+        num_qubits=config.num_qubits,
+        gate_indices=record_gate_indices(config),
+        measures=(Measure.LINEAR,),
+        level_means={Measure.LINEAR: np.cumsum(series, axis=0)[-1] / r},
+        baselines={Measure.LINEAR: np.array(baselines)},
+    )
 
 
 def _assert_prefix(early, full):
@@ -408,7 +416,6 @@ class TestUntilConverged:
     )
     def test_prefix_of_full_run(self, gate, **kw):
         config = ProtocolConfig(fixed_gate=gate, measures=(Measure.LINEAR,), **kw)
-        # The reference runs passes of one realization, every pass but the last to max_gates.
         full = _full_run(config)
         (early,) = run_ensemble(config, workers=1, gates=[gate])
         want = _count(full, config)
@@ -517,11 +524,13 @@ def test_convergence_report_layout():
                          measures=(Measure.LINEAR, Measure.VON_NEUMANN))
     traj = run_ensemble(config, workers=1)
     report = convergence_report(traj)
-    assert len(report.entries) == 2 * 3  # two measures x (m=1, m=2, global)
-    entry = report.entry(Measure.LINEAR, None)
-    assert entry.level is None
+    # Two measures x (m=1, m=2, global), in series order.
+    assert list(report) == [(meas, level) for meas in config.measures for level in (1, 2, None)]
+    assert report[Measure.LINEAR, None] == ConvergenceEntry(
+        convergence_gate_count(traj, Measure.LINEAR), fit_decay_rate(traj, Measure.LINEAR)
+    )
     with pytest.raises(KeyError):
-        report.entry(Measure.LINEAR, 3)
+        report[Measure.LINEAR, 3]
 
 
 def test_config_validation():
