@@ -71,9 +71,12 @@ def _parse_lambda(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated values, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        lam = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not all(math.isfinite(v) for v in lam):
+        raise argparse.ArgumentTypeError(f"lambda components must be finite, got {text!r}")
+    return lam
 
 
 def _parse_grid(text: str) -> list[float]:

@@ -157,13 +157,13 @@ def pick_pair(geometry: Geometry, num_qubits: int, rng: np.random.Generator) -> 
     raise ValueError(f"geometry must be a Geometry, got {geometry!r}")
 
 
-def _draw_steps(geometry: Geometry, num_qubits: int, rngs):
-    """Draws of one protocol step for each stream: pairs (ii, jj) and V_i (x) V_j.
+def _draw_steps(geometry: Geometry, num_qubits: int, rngs, gates):
+    """Kernel arguments (ii, jj, mats) of one protocol step for each point and stream.
 
     Each stream gives one pick_pair draw, then one block of normals covering
     V_i then V_j, in the same order as two consecutive sample_haar_u2 draws.
-    The fixed gate is left out, so that every point sharing the streams
-    applies its own: the step's matrix is (V_i (x) V_j) @ gate.
+    Every point, one of gates (points, 4, 4), shares the draws; rows are
+    point-major, and a row's matrix is (V_i (x) V_j) @ gate.
     """
     b = len(rngs)
     ii = np.empty(b, dtype=np.int64)
@@ -173,7 +173,9 @@ def _draw_steps(geometry: Geometry, num_qubits: int, rngs):
         ii[r], jj[r] = pick_pair(geometry, num_qubits, rng)
         z[r] = rng.standard_normal((2, 2, 2, 2))
     v = _orthonormalize_columns(_complex_gaussian(z))
-    return ii, jj, np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
+    kron = np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
+    points = len(gates)
+    return np.tile(ii, points), np.tile(jj, points), (kron @ gates[:, np.newaxis]).reshape(-1, 4, 4)
 
 
 def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -> StateVector:
@@ -182,8 +184,8 @@ def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -
     A batch of one through the ensemble engine's draw and kernel.
     """
     n = state.num_qubits
-    ii, jj, kron = _draw_steps(config.geometry, n, [rng])
-    _apply_pair_batch(state.amplitudes[np.newaxis], n, ii, jj, kron @ config.fixed_gate)
+    steps = _draw_steps(config.geometry, n, [rng], config.fixed_gate[np.newaxis])
+    _apply_pair_batch(state.amplitudes[np.newaxis], n, *steps)
     return state
 
 
@@ -243,9 +245,7 @@ def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g) -> np.ndarray:
     points, b, dim = chunk.amps.shape
     amps = chunk.amps.reshape(points * b, dim)
     while chunk.applied < g:
-        ii, jj, kron = _draw_steps(config.geometry, n, chunk.rngs)
-        mats = (kron @ chunk.fixed[:, np.newaxis]).reshape(-1, 4, 4)
-        _apply_pair_batch(amps, n, np.tile(ii, points), np.tile(jj, points), mats)
+        _apply_pair_batch(amps, n, *_draw_steps(config.geometry, n, chunk.rngs, chunk.fixed))
         chunk.applied += 1
     return _profile_values(amps, n, config.measures).reshape(points, b, len(config.measures), -1)
 
@@ -382,10 +382,6 @@ class Trajectory:
             raise ValueError(f"level must be in [1, {self.num_levels}] or None, got {level}")
         return slice(level - 1, level)
 
-    def baseline_value(self, measure: Measure, level: int | None = None) -> float:
-        """Haar baseline for one level, or the global mean when level is None."""
-        return float(self.baselines[measure][self._columns(level)].mean())
-
     def mean_series(self, measure: Measure, level: int | None = None) -> np.ndarray:
         """Ensemble mean <E> at each recorded gate count."""
         return self.level_means[measure][:, self._columns(level)].mean(axis=1)
@@ -501,20 +497,6 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
     return out
 
 
-def _first_confirmed(passes, confirm_window: int) -> int | None:
-    """Index of the first pass that starts confirm_window + 1 consecutive passes.
-
-    The flags are consumed lazily, up to the one that closes the window, so
-    a stream that computes them stops there.
-    """
-    run = 0
-    for k, ok in enumerate(passes):
-        run = run + 1 if ok else 0
-        if run > confirm_window:
-            return k - confirm_window
-    return None
-
-
 def convergence_gate_count(
     traj: Trajectory,
     measure: Measure,
@@ -532,8 +514,12 @@ def convergence_gate_count(
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if confirm_window < 0:
         raise ValueError(f"confirm_window must be >= 0, got {confirm_window}")
-    first = _first_confirmed(traj.delta_series(measure, level) <= threshold, confirm_window)
-    return int(traj.gate_indices[first]) if first is not None else None
+    run = 0
+    for k, ok in enumerate(traj.delta_series(measure, level) <= threshold):
+        run = run + 1 if ok else 0
+        if run > confirm_window:
+            return int(traj.gate_indices[k - confirm_window])
+    return None
 
 
 def fit_decay_rate(traj: Trajectory, measure: Measure, level: int | None = None) -> float | None:

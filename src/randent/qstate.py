@@ -79,9 +79,6 @@ class StateVector:
         amp[index] = 1.0
         return cls(num_qubits, amp)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes)
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 

@@ -7,6 +7,7 @@ import multiprocessing.connection
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ from randent.haar_baseline import lubkin_linear_baseline
 from randent.protocol import WorkerError
 
 FAST_RUN = ["--qubits", "3", "--realizations", "4", "--max-gates", "20", "--workers", "1"]
+
+
+def cell(text):
+    """A CSV field parsed back: empty is None, anything else a number."""
+    return None if text == "" else float(text)
 
 
 def read_rows(path):
@@ -97,6 +103,7 @@ class TestParseArgs:
         ["run", "--qubits", "2", "--realizations", "1", "--max-gates", "2000000000000000000"],
         # The baseline draws nothing, so it takes no seed.
         ["baseline", "--seed", "5"],
+        ["run", "--workers", "0"],
     ])
     def test_invalid_settings_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(UsageError):
@@ -105,6 +112,18 @@ class TestParseArgs:
         assert main([*argv, "--output", str(out)]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--lambda", "inf,0,0"],
+        ["run", "--lambda", "0,-inf,0"],
+    ])
+    def test_non_finite_lambda_rejected(self, argv):
+        # Rejected as it is parsed, before the gate builder can warn about
+        # its range or overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="finite"):
+                parse_args(argv)
 
     @pytest.mark.parametrize("argv", [
         ["sweep-phi", "--phi-grid", "nan:1:0.1"],
@@ -224,6 +243,9 @@ class TestRunCommand:
         code = main(["run", *FAST_RUN, "--phi", "1.0", "--measure", "linear",
                      "--output", str(out)])
         assert code == 0
+        out = tmp_path / "p.json"
+        assert main(["run", *FAST_RUN, "--phi", "1.0", "--format", "json", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["gate"] == {"kind": "entangler", "phi": 1.0}
 
     def test_unwritable_output(self, tmp_path, monkeypatch, capsys):
         def no_work(*args, **kwargs):
@@ -281,12 +303,17 @@ class TestRunCommand:
 
 
 class TestSweepCommands:
+    PHI_ARGV = ["sweep-phi", "--qubits", "3", "--realizations", "16", "--max-gates", "60",
+                "--threshold", "0.2", "--confirm-window", "5",
+                "--workers", "1", "--phi-grid", "0:1.5707963267948966:0.7853981633974483"]
+    LAMBDA_ARGV = ["sweep-lambda", "--qubits", "3", "--realizations", "16",
+                   "--max-gates", "60", "--threshold", "0.2", "--confirm-window", "5",
+                   "--workers", "1",
+                   "--lambda-grid", "0:0.7853981633974483:0.7853981633974483"]
+
     def test_sweep_phi_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        code = main(["sweep-phi", "--qubits", "3", "--realizations", "16", "--max-gates", "60",
-                     "--threshold", "0.2", "--confirm-window", "5",
-                     "--workers", "1", "--phi-grid", "0:1.5707963267948966:0.7853981633974483",
-                     "--output", str(out)])
+        code = main([*self.PHI_ARGV, "--output", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "#schema=1"
@@ -297,18 +324,32 @@ class TestSweepCommands:
         assert rows[0][1] == "" and rows[0][3] == ""  # phi=0 never converges
         assert float(rows[0][2]) == 0.0
 
+    def test_sweep_phi_json(self, tmp_path):
+        main([*self.PHI_ARGV, "--output", str(tmp_path / "sweep.csv")])
+        assert main([*self.PHI_ARGV, "--format", "json", "--output", str(tmp_path / "sweep.json")]) == 0
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        meta = dict(ln[1:].split("=") for ln in (tmp_path / "sweep.csv").read_text().splitlines()[1:3])
+        assert payload["argmin_gates"] == cell(meta["argmin_gates"])
+        assert payload["argmin_time"] == cell(meta["argmin_time"])
+        header, rows = read_rows(tmp_path / "sweep.csv")
+        assert payload["rows"] == [{k: cell(v) for k, v in zip(header, row)} for row in rows]
+
     def test_sweep_lambda_csv(self, tmp_path):
         out = tmp_path / "lam.csv"
-        code = main(["sweep-lambda", "--qubits", "3", "--realizations", "16",
-                     "--max-gates", "60", "--threshold", "0.2", "--confirm-window", "5",
-                     "--workers", "1",
-                     "--lambda-grid", "0:0.7853981633974483:0.7853981633974483",
-                     "--output", str(out)])
+        code = main([*self.LAMBDA_ARGV, "--output", str(out)])
         assert code == 0
         header, rows = read_rows(out)
         assert header == ["lambda_x", "lambda_y", "lambda_z", "n_gates"]
         assert rows[0][3] == ""  # lambda 0 is the identity
         assert rows[1][3] != ""
+
+    def test_sweep_lambda_json(self, tmp_path):
+        main([*self.LAMBDA_ARGV, "--output", str(tmp_path / "lam.csv")])
+        assert main([*self.LAMBDA_ARGV, "--format", "json", "--output", str(tmp_path / "lam.json")]) == 0
+        payload = json.loads((tmp_path / "lam.json").read_text())
+        _, rows = read_rows(tmp_path / "lam.csv")
+        expected = [{"lambda": [cell(v) for v in row[:3]], "n_gates": cell(row[3])} for row in rows]
+        assert payload["rows"] == expected
 
 
 class TestPooledRun:

@@ -21,7 +21,6 @@ from randent.protocol import (
     convergence_report,
     fit_decay_rate,
     pick_pair,
-    _first_confirmed,
     record_gate_indices,
     run_ensemble,
     run_realization,
@@ -61,12 +60,19 @@ def synthetic_trajectory(delta, stride=1):
     )
 
 
+def synthetic_flags(passes):
+    """Synthetic trajectory whose delta is at or below the default threshold exactly where passes is True."""
+    return synthetic_trajectory([0.001 if ok else 1.0 for ok in passes])
+
+
 class TestPickPair:
     def test_nonlocal_two_qubits(self):
         rng = rng_stream(40)
         for _ in range(50):
             pair = pick_pair(Geometry.NONLOCAL, 2, rng)
             assert sorted(pair) == [0, 1]
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            pick_pair(Geometry.NONLOCAL, 1, rng)
 
     def test_local_open_support_and_uniformity(self):
         rng = rng_stream(41)
@@ -273,7 +279,7 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("level", [0, -1, 3, 5])
     def test_level_checked(self, level):
         traj = run_ensemble(make_config(num_qubits=4, realizations=2, max_gates=3), workers=1)
-        for series in (traj.baseline_value, traj.mean_series, traj.delta_series):
+        for series in (traj.mean_series, traj.delta_series):
             with pytest.raises(ValueError, match="level must be"):
                 series(Measure.LINEAR, level)
 
@@ -344,25 +350,27 @@ class TestConvergenceGateCount:
         traj = synthetic_trajectory(np.ones(30))
         with pytest.raises(ValueError):
             convergence_gate_count(traj, Measure.LINEAR, confirm_window=-1)
+        for threshold in (0.0, 1.0):
+            with pytest.raises(ValueError, match="threshold"):
+                convergence_gate_count(traj, Measure.LINEAR, threshold=threshold)
+
+    def test_window_closes_at_first_full_run(self):
+        traj = synthetic_flags([True, False, True, True, True, False, True])
+        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=2) == 2
+
+    def test_zero_window_takes_first_pass(self):
+        traj = synthetic_flags([False, False, True])
+        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=0) == 2
+
+    def test_no_confirmed_run(self):
+        traj = synthetic_flags([True, True, False, True])
+        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=2) is None
 
     def test_stride_scales_reported_index(self):
         n = np.arange(150)
         traj = synthetic_trajectory(np.exp(-0.05 * 2 * n), stride=2)
         crossing = convergence_gate_count(traj, Measure.LINEAR, threshold=0.01)
         assert crossing == 94  # first recorded even index past 92.1
-
-
-class TestFirstConfirmed:
-    def test_stops_at_closing_flag(self):
-        flags = iter([True, False, True, True, True, False, True])
-        assert _first_confirmed(flags, confirm_window=2) == 2
-        assert list(flags) == [False, True]
-
-    def test_zero_window_takes_first_pass(self):
-        assert _first_confirmed([False, False, True], confirm_window=0) == 2
-
-    def test_no_confirmed_run(self):
-        assert _first_confirmed([True, True, False, True], confirm_window=2) is None
 
 
 _GATES = st.one_of(
@@ -548,6 +556,10 @@ def test_config_validation():
         make_config(seed=-1)
     with pytest.raises(ValueError):
         make_config(fixed_gate=np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match="4x4"):
+        make_config(fixed_gate=np.eye(3))
+    with pytest.raises(ValueError, match="max_gates"):
+        make_config(max_gates=-1)
     # Wrong types used to run the wrong physics without an error.
     with pytest.raises(ValueError, match="measures"):
         make_config(measures=("linear",))
