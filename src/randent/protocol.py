@@ -205,7 +205,8 @@ class _Chunk:
 
     A point is config with its own fixed gate; all points share the
     realizations' streams.  Holds the streams, the points' gates (points, 4,
-    4), their amplitudes (points, realizations, 2^N) and the gates applied.
+    4), their amplitudes (points, realizations, 2^N), the gates applied and
+    the states held at recorded gates below that, keyed by gate count.
     """
 
     def __init__(self, config: ProtocolConfig, indices, gates):
@@ -214,6 +215,7 @@ class _Chunk:
         self.amps = np.zeros((len(self.fixed), len(self.rngs), 1 << config.num_qubits), dtype=complex)
         self.amps[:, :, 0] = 1.0
         self.applied = 0
+        self.past = {}
 
 
 def _chunks(config: ProtocolConfig, indices, gates) -> list[_Chunk]:
@@ -222,32 +224,54 @@ def _chunks(config: ProtocolConfig, indices, gates) -> list[_Chunk]:
     return [_Chunk(config, indices[lo : lo + sub], gates) for lo in range(0, len(indices), sub)]
 
 
-def _run_batch(config: ProtocolConfig, chunks, rec) -> np.ndarray:
-    """Advance all chunks together through the recorded gates rec and stack their values.
+def _run_batch(config: ProtocolConfig, chunks, rec, rows=None, hold=None) -> np.ndarray:
+    """Bring all chunks together to the recorded gates rec and stack their values.
 
     Returns (len(rec), points, realizations, len(measures), floor(N/2)):
     each gate count in rec is reached by every chunk before any chunk goes
-    on.  Realizations and points are simulated side by side, but every
-    value is bitwise identical to a batch of one: the random draws come
-    from per-realization streams and the batched linear algebra has no
-    cross-row reductions.
+    on.  rows, if given, holds one boolean per point for each gate of rec:
+    the points profiled there, the others' values being zero; hold is then
+    passed on to _run_chunk.  Realizations and points are simulated side by
+    side, but every value is bitwise identical to a batch of one: the random
+    draws come from per-realization streams and the batched linear algebra
+    has no cross-row reductions.
     """
-    return np.stack([np.concatenate([_run_chunk(config, chunk, g) for chunk in chunks], axis=1) for g in rec])
+    if rows is None:
+        rows = [None] * len(rec)
+    return np.stack([
+        np.concatenate([_run_chunk(config, chunk, g, want, hold) for chunk in chunks], axis=1)
+        for g, want in zip(rec, rows)
+    ])
 
 
-def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g) -> np.ndarray:
-    """Step the chunk to gate count g (not below chunk.applied) and return its values there.
+def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows=None, hold=None) -> np.ndarray:
+    """The chunk's values at gate count g, at the points of the boolean mask rows (all if None).
 
-    Each gate draws once per stream and advances every point's rows in one
-    kernel call.
+    A gate below chunk.applied is read from the states held; otherwise the
+    chunk steps to g, each gate drawing once per stream and advancing every
+    point's rows in one kernel call.  With hold, the state it steps away
+    from is held if its gate count is at least hold.  Rows not profiled are
+    zero.
     """
     n = config.num_qubits
     points, b, dim = chunk.amps.shape
-    amps = chunk.amps.reshape(points * b, dim)
-    while chunk.applied < g:
-        _apply_pair_batch(amps, n, *_draw_steps(config.geometry, n, chunk.rngs, chunk.fixed))
-        chunk.applied += 1
-    return _profile_values(amps, n, config.measures).reshape(points, b, len(config.measures), -1)
+    if g < chunk.applied:
+        state = chunk.past[g]
+    else:
+        if hold is not None and hold <= chunk.applied < g:
+            chunk.past[chunk.applied] = chunk.amps.copy()
+        amps = chunk.amps.reshape(points * b, dim)
+        while chunk.applied < g:
+            _apply_pair_batch(amps, n, *_draw_steps(config.geometry, n, chunk.rngs, chunk.fixed))
+            chunk.applied += 1
+        state = chunk.amps
+    shape = (points, b, len(config.measures), n // 2)
+    if rows is None or all(rows):
+        return _profile_values(state.reshape(points * b, dim), n, config.measures).reshape(shape)
+    out = np.zeros(shape)
+    if any(rows):
+        out[rows] = _profile_values(state[rows].reshape(-1, dim), n, config.measures).reshape(-1, *shape[1:])
+    return out
 
 
 def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Measure, np.ndarray]:
@@ -268,17 +292,23 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
 def _slice(config: ProtocolConfig, gates, indices):
     """Answer function of the realizations indices, held at every point of a group.
 
-    answer(live, rec) keeps the points of the boolean mask live, steps to
-    each gate count in rec and returns the values (len(rec), points,
-    realizations, n_measures, levels).
+    answer(live, rec, rows=None, hold=None) keeps the points of the boolean
+    mask live, and of the states held those at gate counts of at least hold
+    (none without it).  It then returns the values at each gate count in
+    rec (see _run_batch), (len(rec), points, realizations, n_measures,
+    levels).
     """
     held = _chunks(config, indices, gates)
 
-    def answer(live, rec):
-        if not all(live):
-            for chunk in held:
+    def answer(live, rec, rows=None, hold=None):
+        for chunk in held:
+            chunk.past = {g: state for g, state in chunk.past.items() if hold is not None and g >= hold}
+            if not all(live):
                 chunk.fixed, chunk.amps = chunk.fixed[live], chunk.amps[live]
-        return _run_batch(config, held, rec)
+                chunk.past = {g: state[live] for g, state in chunk.past.items()}
+        if rows is None:
+            return _run_batch(config, held, rec)
+        return _run_batch(config, held, rec, rows, hold)
 
     return answer
 
@@ -301,9 +331,10 @@ def _ensemble_worker(args):
 
 @contextlib.contextmanager
 def _slices(config: ProtocolConfig, gates, slices):
-    """Yields a function that asks a pass's slices (live, rec) and returns their answers in order.
+    """Yields a function that asks a pass's slices a request and returns their answers in order.
 
-    Each slice is an array of realization indices, held (see _slice).  One
+    A request is the arguments of a slice's answer function.  Each slice is
+    an array of realization indices, held (see _slice).  One
     slice is held in this process; more run in one worker process each,
     for this pass only.  An exception a worker answers is raised here, and
     a worker that is gone raises WorkerError.  On leaving, each worker is
@@ -395,12 +426,16 @@ class Trajectory:
 def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=None):
     """Average the per-realization series over R independent realizations.
 
-    Without gates, returns the trajectory of config up to max_gates.  With
-    gates, returns one trajectory per gate, of config with that fixed gate,
-    each ending at the last gate of the confirm window of its first
-    confirmed crossing of the global linear delta, judged as
-    convergence_gate_count judges it with config.threshold and
-    config.confirm_window: bitwise that prefix of the point's full run.
+    Without gates, returns the trajectory of config at every recorded gate
+    up to max_gates.  With gates, returns one trajectory per gate, of
+    config with that fixed gate, holding the recorded gates its global
+    linear delta was judged at, in gate order (see _judged_pass), each row
+    bitwise that of the point's full run.  It ends at the last gate of the
+    confirm window of the first confirmed crossing, count +
+    confirm_window * eval_stride, or at the last recorded gate.  Its
+    judged gates run without gaps back to its last failing one, so
+    convergence_gate_count with config.threshold and config.confirm_window
+    gives the full run's count.
 
     Points share their realizations' streams, so one draw per stream per
     gate serves every point of a group; _ensemble_means lays out the
@@ -422,22 +457,21 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
         if Measure.LINEAR not in config.measures:
             raise ValueError("gates are judged on the linear measure, which config.measures lacks")
         series = _ensemble_means(config, list(gates), workers, baselines[Measure.LINEAR])
-    rec = record_gate_indices(config)
     trajs = [
         Trajectory(
             num_qubits=config.num_qubits,
-            gate_indices=rec[: len(kept)],
+            gate_indices=at,
             measures=config.measures,
-            level_means={meas: kept[:, k, :] for k, meas in enumerate(config.measures)},
+            level_means={meas: means[:, k, :] for k, meas in enumerate(config.measures)},
             baselines=baselines,
         )
-        for kept in series
+        for at, means in series
     ]
     return trajs[0] if gates is None else trajs
 
 
-def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline=None) -> list[np.ndarray]:
-    """Each point's ensemble means (T, n_measures, levels) at the T recorded gates it reaches.
+def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline=None) -> list:
+    """Each point's recorded gate counts (T,) and its ensemble means (T, n_measures, levels) there.
 
     Each point is config with one of gates as its fixed gate.  Groups of
     points run one after another, sized so that one realization's points
@@ -446,10 +480,10 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
     realization counted as points * 2^N amplitudes plus 64 for its random
     stream.  A group above that runs its realizations in passes of at most
     that many slices, each held (see _slices).  A round takes at most
-    _BATCH_ENTRIES >> 4 values.  A pass before the last runs every
-    recorded gate and keeps only each gate's sums.  The last pass, given
-    the global linear baseline, ends a round no later than the first row
-    that can close a confirm window, and stops a point when its window closes.
+    _BATCH_ENTRIES >> 4 values.  A pass before the last, or without a
+    baseline, sums every point at every recorded gate.  The last pass,
+    given the global linear baseline, judges each point at the gates
+    _judged_pass picks, every one of its rows bitwise that of the full run.
     Each gate's values are summed in realization order by a cumsum after
     the sums of the passes before, so every layout gives the same bits.
     """
@@ -457,44 +491,134 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
     procs = min(workers or r, r, os.cpu_count() or 1)
     size = max(1, min(_HELD_ENTRIES // -(-r // procs) - 64, _BATCH_ENTRIES) >> n)
     rec = record_gate_indices(config)
-    window = config.confirm_window
     out = []
     for lo in range(0, len(gates), size):
         group = gates[lo : lo + size]
-        per_pass = procs * max(1, _HELD_ENTRIES // ((len(group) << n) + 64))
+        entries = (len(group) << n) + 64
+        per_pass = procs * max(1, _HELD_ENTRIES // entries)
         passes = np.array_split(np.arange(r), -(-r // per_pass))
         sums = None
         for p, indices in enumerate(passes):
-            last = p == len(passes) - 1
-            judge = baseline if last else None
+            slices = np.array_split(indices, min(procs, len(indices)))
             width = len(indices) * len(config.measures) * (n // 2)
-            kept, runs = [[] for _ in group], [0] * len(group)
-            live, mask, done = list(range(len(group))), [True] * len(group), 0
-            with _slices(config, group, np.array_split(indices, min(procs, len(indices)))) as ask:
-                while live and done < len(rec):
-                    k = min(len(rec) - done, max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))))
-                    if judge is not None:
-                        # A row adds at most one to a run, so only a round's last row closes a window.
-                        k = min(k, window + 1 - max(runs[a] for a in live))
-                    vals = np.concatenate(ask((mask, rec[done : done + k])), axis=2)
-                    if sums is not None:
-                        vals = np.concatenate([sums[done : done + k, live, np.newaxis], vals], axis=2)
-                    done += k
-                    # A copy, so that the rows kept do not hold the whole cumsum.
-                    for total in np.cumsum(vals, axis=2)[:, :, -1].copy():
-                        passed = [False] * len(live)
-                        if judge is not None:
-                            linear = total[:, config.measures.index(Measure.LINEAR)] / r
-                            passed = _delta(linear, judge) <= config.threshold
-                        for a, row, ok in zip(live, total, passed):
-                            kept[a].append(row)
-                            runs[a] = runs[a] + 1 if ok else 0
-                    mask = [runs[a] <= window for a in live]
-                    live = [a for a, ok in zip(live, mask) if ok]
-            if not last:
-                sums = np.stack(kept, axis=1)
-        out += [np.array(rows) / r for rows in kept]
+            with _slices(config, group, slices) as ask:
+                if baseline is None or p < len(passes) - 1:
+                    sums = _pass_sums(ask, rec, len(group), width, sums)
+                else:
+                    # h held states beside the slice's own stay within _HELD_ENTRIES.
+                    h = min(config.confirm_window, max(0, _HELD_ENTRIES // (len(slices[0]) * entries) - 1))
+                    out += _judged_pass(config, ask, len(group), width, sums, baseline, h)
+        if baseline is None:
+            out += [(rec, sums[:, a] / r) for a in range(len(group))]
     return out
+
+
+def _summed(answers, sums, lo, live) -> np.ndarray:
+    """Realization sums of the slices' answers at recorded gates lo, lo + 1, ...
+
+    Returns (gates, live points, n_measures, levels).  Each sum runs in
+    realization order after sums, those of the passes before (None in the
+    first pass) at the points live.
+    """
+    vals = np.concatenate(answers, axis=2)
+    if sums is not None:
+        vals = np.concatenate([sums[lo : lo + len(vals), live, np.newaxis], vals], axis=2)
+    # A copy, so that the rows kept do not hold the whole cumsum.
+    return np.cumsum(vals, axis=2)[:, :, -1].copy()
+
+
+def _pass_sums(ask, rec, points, width, sums) -> np.ndarray:
+    """Every point's realization sums at every recorded gate, after sums: (T, points, n_measures, levels)."""
+    k = max(1, (_BATCH_ENTRIES >> 4) // (width * points))
+    live = [True] * points
+    return np.concatenate(
+        [_summed(ask((live, rec[lo : lo + k])), sums, lo, slice(None)) for lo in range(0, len(rec), k)]
+    )
+
+
+def _judged_pass(config: ProtocolConfig, ask, points, width, sums, baseline, h) -> list:
+    """Each point's judged gate counts and means up to its first confirmed crossing, or to max_gates.
+
+    A row passes when its global linear delta against baseline is at or
+    below config.threshold; a point's run is its passes in a row, and its
+    window closes when the run exceeds config.confirm_window (w).  The
+    probe gates are the recorded-gate positions h, 2h + 1, 3h + 2, ...
+    and the last; as h <= w, every run of w + 1 recorded gates holds one.
+    A point whose run is open is judged at the next gate.  Any other point
+    is judged at the next probe gate; if that passes, at every gate since
+    its last judged one too, so its run is the passes in a row ending at
+    the probe.  A trajectory's judged gates thus run without gaps back to
+    its last failing one, and a point stops where its window closes, at its
+    count + w * stride.  A point is profiled at every gate of a round if its
+    run is open at the start, else at probe gates only; a round ends no
+    later than the next probe gate, and the slices hold the states of the
+    recorded gates from the last probe on, at most h, for the gates a
+    passing probe looks back over.  h = 0 judges every gate.
+    """
+    rec = record_gate_indices(config)
+    r, window, linear = config.realizations, config.confirm_window, config.measures.index(Measure.LINEAR)
+    judged = [[] for _ in range(points)]  # (position, row), in gate order
+    profiled = [{} for _ in range(points)]  # rows after the last judged, by position
+    runs = [0] * points
+    live, mask, done = list(range(points)), [True] * points, 0
+
+    def request(lo, hi, rows, hold):
+        nonlocal mask
+        answers = ask((mask, rec[lo:hi], rows, hold))
+        mask = [True] * len(live)
+        for t, total in enumerate(_summed(answers, sums, lo, live), lo):
+            for c in np.flatnonzero(rows[t - lo]):
+                profiled[live[c]][t] = total[c]
+
+    def passes(row):
+        return _delta(row[linear] / r, baseline) <= config.threshold
+
+    def last(a):
+        return judged[a][-1][0] if judged[a] else -1
+
+    def judge(a, t):
+        row = profiled[a].pop(t)
+        runs[a] = runs[a] + 1 if passes(row) else 0
+        judged[a].append((t, row))
+
+    while live and done < len(rec):
+        start = done - done % (h + 1)
+        # A row adds at most one to a run, so only a round's last row closes a window.
+        k = min(
+            len(rec) - done,
+            max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))),
+            window + 1 - max(runs[a] for a in live),
+            start + h + 1 - done if h else len(rec),
+        )
+        open_run = np.array([runs[a] > 0 for a in live])
+        probes = [t % (h + 1) == h or t == len(rec) - 1 for t in range(done, done + k)]
+        rows = np.array([open_run | probe for probe in probes])
+        request(done, done + k, rows, rec[start] if h else None)
+        done += k
+        back = {}
+        for a in live:
+            while (t := last(a) + 1) < done:
+                # The gate a is judged at next: t while its run is open, else the next probe.
+                q = t if runs[a] else min(t + h - t % (h + 1), len(rec) - 1)
+                if q not in profiled[a]:
+                    break
+                if q > t and passes(profiled[a][q]):
+                    # A passing probe, the round's last row: look back to t.
+                    back[a] = [u for u in range(t, q) if u not in profiled[a]]
+                    break
+                judge(a, q)
+                if q > t:  # a failing probe: the gates before it stay unjudged
+                    profiled[a].clear()
+        if any(back.values()):
+            lo = min(ts[0] for ts in back.values() if ts)
+            rows = np.array([[t in back.get(a, ()) for a in live] for t in range(lo, done - 1)])
+            request(lo, done - 1, rows, rec[start])
+        for a in back:
+            while last(a) < done - 1:
+                judge(a, last(a) + 1)
+        mask = [runs[a] <= window for a in live]
+        live = [a for a, ok in zip(live, mask) if ok]
+    return [(rec[[t for t, _ in rows]], np.array([row for _, row in rows]) / r) for rows in judged]
 
 
 def convergence_gate_count(

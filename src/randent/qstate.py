@@ -192,12 +192,15 @@ def canonical_gate(lam) -> np.ndarray:
 
     Built exactly from its Bell-basis spectral decomposition; the four Bell
     states are simultaneous eigenvectors of the sigma_k (x) sigma_k terms.
-    Values of lam outside the symmetry-reduced range [0, pi/4] are accepted
-    with a warning: the reduction is a convenience, not a constraint.
+    Finite values of lam outside the symmetry-reduced range [0, pi/4] are
+    accepted with a warning: the reduction is a convenience, not a
+    constraint.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (3,):
         raise ValueError(f"lam must have three components, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"lam must be finite, got {tuple(lam.tolist())}")
     lx, ly, lz = (float(v) for v in lam)
     # Slack absorbs decimal-entry rounding of the pi/4 boundary.
     if lam.min() < -1e-9 or lam.max() > math.pi / 4 + 1e-9:

@@ -395,12 +395,14 @@ def _full_run(config):
     )
 
 
-def _assert_prefix(early, full):
-    t = early.gate_indices.size
-    np.testing.assert_array_equal(early.gate_indices, full.gate_indices[:t])
+def _assert_common_rows(early, full):
+    """At each gate both trajectories hold, their rows are bitwise equal; early's gates are in order."""
+    assert np.all(np.diff(early.gate_indices) > 0)
+    _, mine, theirs = np.intersect1d(early.gate_indices, full.gate_indices, return_indices=True)
     np.testing.assert_array_equal(
-        early.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][:t]
+        early.level_means[Measure.LINEAR][mine], full.level_means[Measure.LINEAR][theirs]
     )
+    return mine.size
 
 
 def _count(traj, config):
@@ -429,10 +431,11 @@ class TestUntilConverged:
         want = _count(full, config)
         assert _count(early, config) == want
         if want is None:
-            assert early.gate_indices.size == full.gate_indices.size
+            assert early.gate_indices[-1] == full.gate_indices[-1]
         else:
             assert early.gate_indices[-1] == want + config.confirm_window * config.eval_stride
-        _assert_prefix(early, full)
+        # Every gate judged is a recorded gate of the full run, with its row.
+        assert _assert_common_rows(early, full) == early.gate_indices.size
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
@@ -466,38 +469,110 @@ class TestUntilConverged:
         )
         gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3, math.pi)]
         streamed = run_ensemble(config, workers=1, gates=gates)
-        assert streamed[0].gate_indices.size < config.max_gates + 1
-        assert streamed[-1].gate_indices.size == config.max_gates + 1
+        counts = [_count(traj, config) for traj in streamed]
+        assert streamed[0].gate_indices[-1] == counts[0] + window < config.max_gates
+        assert counts[-1] is None and streamed[-1].gate_indices[-1] == config.max_gates
         runs = {
             # Every point, in two realization slices, one per worker process.
             "pooled": lambda: run_ensemble(config, workers=2, gates=gates),
             # Fewer points than workers: the same slices, each stopped at its window.
             "spread": lambda: run_ensemble(config, workers=3, gates=gates[:2]) + streamed[2:],
+            # Two chunks per group, still held at once: the run stops at each window.
+            "batched": lambda: run_ensemble(config, workers=1, gates=gates),
+            # Groups of one point, each in two passes: the first runs to max_gates,
+            # the last stops at the window.  Its slice leaves no room for a held
+            # state, so it judges every gate.
+            "passes": lambda: run_ensemble(config, workers=1, gates=gates),
         }
         for name, run in runs.items():
+            if name == "batched":
+                monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (4 * 6 << 4) - 1)
+            if name == "passes":
+                monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 6 * ((1 << 4) + 64) - 1)
             for other, want in zip(run(), streamed, strict=True):
-                np.testing.assert_array_equal(other.gate_indices, want.gate_indices, err_msg=name)
-                np.testing.assert_array_equal(
-                    other.level_means[Measure.LINEAR], want.level_means[Measure.LINEAR], err_msg=name
-                )
-        # Two chunks per group, still held at once: the run stops at each window.
-        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (4 * 6 << 4) - 1)
-        batched = run_ensemble(config, workers=1, gates=gates)
-        # Groups of one point, each in two passes: the first runs to max_gates,
-        # the last stops at the window.
-        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 6 * ((1 << 4) + 64) - 1)
-        passes = run_ensemble(config, workers=1, gates=gates)
-        for other in (batched, passes):
-            for traj, want in zip(other, streamed, strict=True):
-                np.testing.assert_array_equal(traj.gate_indices, want.gate_indices)
-                np.testing.assert_array_equal(
-                    traj.level_means[Measure.LINEAR], want.level_means[Measure.LINEAR]
-                )
+                assert _count(other, config) == _count(want, config), name
+                assert other.gate_indices[-1] == want.gate_indices[-1], name
+                assert _assert_common_rows(other, want) > 0, name
+                if name == "passes":
+                    np.testing.assert_array_equal(
+                        other.gate_indices, np.arange(other.gate_indices[-1] + 1)
+                    )
 
     def test_needs_linear_measure(self):
         config = make_config(measures=(Measure.VON_NEUMANN,))
         with pytest.raises(ValueError):
             run_ensemble(config, workers=1, gates=[config.fixed_gate])
+
+
+class TestProbeGates:
+    """The last pass judges a point at every (h + 1)-th recorded gate, looking back over held states."""
+
+    GRID = [entangler_gate(phi) for phi in (math.pi / 6, math.pi / 3, math.pi / 2, 2.5)]
+
+    def grid_config(self):
+        return make_config(num_qubits=4, realizations=20, max_gates=300, seed=42, threshold=0.02,
+                           confirm_window=10)
+
+    @staticmethod
+    def held_entries(config, h, points):
+        """The _HELD_ENTRIES at which a one-slice pass of config at points gets probe spacing h."""
+        return (h + 1) * config.realizations * (points * (1 << config.num_qubits) + 64)
+
+    def test_fewer_rows_profiled_than_every_gate(self, monkeypatch):
+        config = self.grid_config()
+        rows = []
+        profile = randent.protocol._profile_values
+
+        def counting(amps, num_qubits, measures):
+            rows.append(len(amps))
+            return profile(amps, num_qubits, measures)
+
+        monkeypatch.setattr(randent.protocol, "_profile_values", counting)
+        probed = run_ensemble(config, workers=1, gates=self.GRID)
+        probed_rows = sum(rows)
+        rows.clear()
+        # One entry short of room for one held state: h = 0 judges every gate.
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", self.held_entries(config, 1, 4) - 1)
+        every = run_ensemble(config, workers=1, gates=self.GRID)
+        assert [_count(t, config) for t in probed] == [_count(t, config) for t in every]
+        assert None not in [_count(t, config) for t in every]
+        assert probed_rows < sum(rows)
+
+    @pytest.mark.parametrize("h", [3, 10])
+    def test_held_states_within_spacing(self, h, monkeypatch):
+        config = self.grid_config()
+        want = [_count(t, config) for t in run_ensemble(config, workers=1, gates=self.GRID)]
+        held = []
+        run_chunk = randent.protocol._run_chunk
+
+        def recording(config, chunk, *args):
+            vals = run_chunk(config, chunk, *args)
+            held.append(len(chunk.past))
+            return vals
+
+        monkeypatch.setattr(randent.protocol, "_run_chunk", recording)
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", self.held_entries(config, h, 4))
+        got = run_ensemble(config, workers=1, gates=self.GRID)
+        assert [_count(t, config) for t in got] == want
+        assert max(held) == h
+
+    def test_crossing_between_probes_found_by_look_back(self, monkeypatch):
+        # w = 10 and room for ten held states: probes at positions 10, 21, ...
+        # The probe at 10 fails and the one at 21 passes; looking back, 11
+        # passes, 12 to 15 fail and the crossing is at 16.
+        config = make_config(num_qubits=4, realizations=8, max_gates=150, seed=3, threshold=0.05,
+                             confirm_window=10)
+        full = run_ensemble(config, workers=1)
+        assert _count(full, config) == 16
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for workers in (1, 2):
+            (traj,) = run_ensemble(config, workers=workers, gates=[config.fixed_gate])
+            assert _count(traj, config) == 16
+            # Nothing below the failing probe is judged; from it on, every gate.
+            np.testing.assert_array_equal(traj.gate_indices, np.arange(10, 27))
+            np.testing.assert_array_equal(
+                traj.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][10:27]
+            )
 
 
 class TestFitDecayRate:

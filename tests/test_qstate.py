@@ -1,5 +1,6 @@
 """Statevector, gate constructors, and Haar sampling."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,12 @@ class TestCanonicalGate:
     def test_out_of_range_warns(self):
         with pytest.warns(UserWarning):
             canonical_gate((1.0, 0, 0))
+        # A non-finite component is refused before the range warning.
+        for bad in (math.inf, math.nan):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    canonical_gate((bad, 0, 0))
 
 
 class TestEntanglerGate:
