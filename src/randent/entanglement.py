@@ -33,8 +33,9 @@ __all__ = [
 _EIG_FLOOR = -1e-10
 
 # Most entries (complex128, 1 MiB) of the Gram matrices one eigvalsh call
-# takes.  That is a thousand 8x8 marginals, enough for the call's fixed cost
-# to be small next to its work; a larger buffer only adds memory.
+# takes: a thousand 8x8 marginals, enough for the call's fixed cost to be
+# small next to its work; a larger buffer only adds memory.  When one
+# subset's matrices for the whole batch are more, a call takes that subset.
 _GRAM_ENTRIES = 1 << 16
 
 
@@ -115,9 +116,9 @@ def _level_values(amps: np.ndarray, num_qubits: int, m: int, measures) -> np.nda
     """Level-m entanglement of each batched state, per measure: (B, len(measures)).
 
     One Gram matrix per subset.  For von Neumann they are gathered in blocks
-    of subsets held within _GRAM_ENTRIES, with one eigvalsh call and one
-    entropy pass per block; the linear entropies take one pass per level.
-    Each measure's entropies are then summed in subset order.
+    of as many subsets as _GRAM_ENTRIES holds (at least one), one eigvalsh
+    call and one entropy pass per block; the linear entropies take one pass
+    per level.  Each measure's entropies are then summed in subset order.
     """
     parts = enumerate_bipartitions(num_qubits, m)
     b, d = amps.shape[0], 1 << m

@@ -224,34 +224,32 @@ def _chunks(config: ProtocolConfig, indices, gates) -> list[_Chunk]:
     return [_Chunk(config, indices[lo : lo + sub], gates) for lo in range(0, len(indices), sub)]
 
 
-def _run_batch(config: ProtocolConfig, chunks, rec, rows=None, hold=None) -> np.ndarray:
+def _run_batch(config: ProtocolConfig, chunks, rec, rows, hold) -> np.ndarray:
     """Bring all chunks together to the recorded gates rec and stack their values.
 
     Returns (len(rec), points, realizations, len(measures), floor(N/2)):
     each gate count in rec is reached by every chunk before any chunk goes
-    on.  rows, if given, holds one boolean per point for each gate of rec:
-    the points profiled there, the others' values being zero; hold is then
-    passed on to _run_chunk.  Realizations and points are simulated side by
-    side, but every value is bitwise identical to a batch of one: the random
-    draws come from per-realization streams and the batched linear algebra
-    has no cross-row reductions.
+    on.  rows holds one boolean per point for each gate of rec: the points
+    profiled there, the others' values being zero; hold is passed on to
+    _run_chunk.  Realizations and points are simulated side by side, but
+    every value is bitwise identical to a batch of one: the random draws
+    come from per-realization streams and the batched linear algebra has no
+    cross-row reductions.
     """
-    if rows is None:
-        rows = [None] * len(rec)
     return np.stack([
         np.concatenate([_run_chunk(config, chunk, g, want, hold) for chunk in chunks], axis=1)
         for g, want in zip(rec, rows)
     ])
 
 
-def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows=None, hold=None) -> np.ndarray:
-    """The chunk's values at gate count g, at the points of the boolean mask rows (all if None).
+def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows, hold) -> np.ndarray:
+    """The chunk's values at gate count g, at the points of the boolean mask rows.
 
     A gate below chunk.applied is read from the states held; otherwise the
     chunk steps to g, each gate drawing once per stream and advancing every
-    point's rows in one kernel call.  With hold, the state it steps away
-    from is held if its gate count is at least hold.  Rows not profiled are
-    zero.
+    point's rows in one kernel call.  Unless hold is None, the state it
+    steps away from is held if its gate count is at least hold.  Rows not
+    profiled are zero.
     """
     n = config.num_qubits
     points, b, dim = chunk.amps.shape
@@ -266,7 +264,7 @@ def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows=None, hold=None) -
             chunk.applied += 1
         state = chunk.amps
     shape = (points, b, len(config.measures), n // 2)
-    if rows is None or all(rows):
+    if all(rows):
         return _profile_values(state.reshape(points * b, dim), n, config.measures).reshape(shape)
     out = np.zeros(shape)
     if any(rows):
@@ -285,29 +283,28 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
             f"realization_index {realization_index} out of range for R={config.realizations}"
         )
     chunks = _chunks(config, [realization_index], [config.fixed_gate])
-    vals = _run_batch(config, chunks, record_gate_indices(config))[:, 0, 0]
+    rec = record_gate_indices(config)
+    vals = _run_batch(config, chunks, rec, np.ones((len(rec), 1), dtype=bool), None)[:, 0, 0]
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
 def _slice(config: ProtocolConfig, gates, indices):
     """Answer function of the realizations indices, held at every point of a group.
 
-    answer(live, rec, rows=None, hold=None) keeps the points of the boolean
-    mask live, and of the states held those at gate counts of at least hold
-    (none without it).  It then returns the values at each gate count in
-    rec (see _run_batch), (len(rec), points, realizations, n_measures,
-    levels).
+    answer(live, rec, rows, hold) keeps the points of the boolean mask
+    live, and of the states held those at gate counts of at least hold
+    (none if hold is None).  It then returns the values at each gate count
+    in rec at the points rows asks for (see _run_batch), (len(rec), points,
+    realizations, n_measures, levels).
     """
     held = _chunks(config, indices, gates)
 
-    def answer(live, rec, rows=None, hold=None):
+    def answer(live, rec, rows, hold):
         for chunk in held:
             chunk.past = {g: state for g, state in chunk.past.items() if hold is not None and g >= hold}
             if not all(live):
                 chunk.fixed, chunk.amps = chunk.fixed[live], chunk.amps[live]
                 chunk.past = {g: state[live] for g, state in chunk.past.items()}
-        if rows is None:
-            return _run_batch(config, held, rec)
         return _run_batch(config, held, rec, rows, hold)
 
     return answer
@@ -429,7 +426,7 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     Without gates, returns the trajectory of config at every recorded gate
     up to max_gates.  With gates, returns one trajectory per gate, of
     config with that fixed gate, holding the recorded gates its global
-    linear delta was judged at, in gate order (see _judged_pass), each row
+    linear delta was judged at, in gate order (see _pass), each row
     bitwise that of the point's full run.  It ends at the last gate of the
     confirm window of the first confirmed crossing, count +
     confirm_window * eval_stride, or at the last recorded gate.  Its
@@ -451,12 +448,12 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
         )
         for meas in config.measures
     }
-    if gates is None:
-        series = _ensemble_means(config, [config.fixed_gate], workers)
-    else:
+    judge = None
+    if gates is not None:
         if Measure.LINEAR not in config.measures:
             raise ValueError("gates are judged on the linear measure, which config.measures lacks")
-        series = _ensemble_means(config, list(gates), workers, baselines[Measure.LINEAR])
+        judge = (config.measures.index(Measure.LINEAR), baselines[Measure.LINEAR])
+    series = _ensemble_means(config, [config.fixed_gate] if gates is None else list(gates), workers, judge)
     trajs = [
         Trajectory(
             num_qubits=config.num_qubits,
@@ -470,7 +467,7 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     return trajs[0] if gates is None else trajs
 
 
-def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline=None) -> list:
+def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, judge) -> list:
     """Each point's recorded gate counts (T,) and its ensemble means (T, n_measures, levels) there.
 
     Each point is config with one of gates as its fixed gate.  Groups of
@@ -479,13 +476,12 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
     slices hold all R realizations within _HELD_ENTRIES each, a
     realization counted as points * 2^N amplitudes plus 64 for its random
     stream.  A group above that runs its realizations in passes of at most
-    that many slices, each held (see _slices).  A round takes at most
-    _BATCH_ENTRIES >> 4 values.  A pass before the last, or without a
-    baseline, sums every point at every recorded gate.  The last pass,
-    given the global linear baseline, judges each point at the gates
-    _judged_pass picks, every one of its rows bitwise that of the full run.
-    Each gate's values are summed in realization order by a cumsum after
-    the sums of the passes before, so every layout gives the same bits.
+    that many slices, each held (see _slices).  Every pass is one _pass.
+    The last is given judge (None for a run) and judges each point at the
+    gates it picks; every other pass is given None and sums every point at
+    every recorded gate, the next pass adding its values after those sums.
+    The sums are divided by R once, at the end, so every layout gives the
+    same bits.
     """
     r, n = config.realizations, config.num_qubits
     procs = min(workers or r, r, os.cpu_count() or 1)
@@ -501,62 +497,41 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, baseline
         for p, indices in enumerate(passes):
             slices = np.array_split(indices, min(procs, len(indices)))
             width = len(indices) * len(config.measures) * (n // 2)
+            judging = judge if p == len(passes) - 1 else None
+            # h held states beside the slice's own stay within _HELD_ENTRIES.
+            h = min(config.confirm_window, max(0, _HELD_ENTRIES // (len(slices[0]) * entries) - 1))
             with _slices(config, group, slices) as ask:
-                if baseline is None or p < len(passes) - 1:
-                    sums = _pass_sums(ask, rec, len(group), width, sums)
-                else:
-                    # h held states beside the slice's own stay within _HELD_ENTRIES.
-                    h = min(config.confirm_window, max(0, _HELD_ENTRIES // (len(slices[0]) * entries) - 1))
-                    out += _judged_pass(config, ask, len(group), width, sums, baseline, h)
-        if baseline is None:
-            out += [(rec, sums[:, a] / r) for a in range(len(group))]
+                sums = _pass(config, ask, len(group), width, sums, judging, 0 if judging is None else h)
+        out += [(rec[at], rows / r) for at, rows in sums]
     return out
 
 
-def _summed(answers, sums, lo, live) -> np.ndarray:
-    """Realization sums of the slices' answers at recorded gates lo, lo + 1, ...
+def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
+    """Each point's judged positions in the recorded gates, and its realization sums there.
 
-    Returns (gates, live points, n_measures, levels).  Each sum runs in
-    realization order after sums, those of the passes before (None in the
-    first pass) at the points live.
-    """
-    vals = np.concatenate(answers, axis=2)
-    if sums is not None:
-        vals = np.concatenate([sums[lo : lo + len(vals), live, np.newaxis], vals], axis=2)
-    # A copy, so that the rows kept do not hold the whole cumsum.
-    return np.cumsum(vals, axis=2)[:, :, -1].copy()
-
-
-def _pass_sums(ask, rec, points, width, sums) -> np.ndarray:
-    """Every point's realization sums at every recorded gate, after sums: (T, points, n_measures, levels)."""
-    k = max(1, (_BATCH_ENTRIES >> 4) // (width * points))
-    live = [True] * points
-    return np.concatenate(
-        [_summed(ask((live, rec[lo : lo + k])), sums, lo, slice(None)) for lo in range(0, len(rec), k)]
-    )
-
-
-def _judged_pass(config: ProtocolConfig, ask, points, width, sums, baseline, h) -> list:
-    """Each point's judged gate counts and means up to its first confirmed crossing, or to max_gates.
-
-    A row passes when its global linear delta against baseline is at or
-    below config.threshold; a point's run is its passes in a row, and its
-    window closes when the run exceeds config.confirm_window (w).  The
-    probe gates are the recorded-gate positions h, 2h + 1, 3h + 2, ...
-    and the last; as h <= w, every run of w + 1 recorded gates holds one.
-    A point whose run is open is judged at the next gate.  Any other point
-    is judged at the next probe gate; if that passes, at every gate since
-    its last judged one too, so its run is the passes in a row ending at
-    the probe.  A trajectory's judged gates thus run without gaps back to
-    its last failing one, and a point stops where its window closes, at its
-    count + w * stride.  A point is profiled at every gate of a round if its
-    run is open at the start, else at probe gates only; a round ends no
-    later than the next probe gate, and the slices hold the states of the
-    recorded gates from the last probe on, at most h, for the gates a
-    passing probe looks back over.  h = 0 judges every gate.
+    Each sum runs in realization order after before, the answer of the pass
+    before (None in the first).  A round takes at most _BATCH_ENTRIES >> 4
+    values, or one recorded gate.  judge is None, or (the column of the
+    linear measure, its levels' baselines).  Without it h is 0: every point
+    is judged at every recorded gate, and none stops.  With it, a row
+    passes when its global linear delta is at or below config.threshold; a
+    point's run is its passes in a row, and its window closes when the run
+    exceeds config.confirm_window (w).  The probe gates are the
+    recorded-gate positions h, 2h + 1, 3h + 2, ... and the last; as h <= w,
+    every run of w + 1 recorded gates holds one.  A point whose run is open
+    is judged at the next gate.  Any other point is judged at the next
+    probe gate; if that passes, at every gate since its last judged one
+    too, so its run is the passes in a row ending at the probe.  A
+    trajectory's judged gates thus run without gaps back to its last
+    failing one, and a point stops where its window closes, at its count +
+    w * stride.  A point is profiled at every gate of a round if its run is
+    open at the start, else at probe gates only; a round ends no later than
+    the next probe gate, and the slices hold the states of the recorded
+    gates from the last probe on, at most h, for the gates a passing probe
+    looks back over.  h = 0 judges every gate.
     """
     rec = record_gate_indices(config)
-    r, window, linear = config.realizations, config.confirm_window, config.measures.index(Measure.LINEAR)
+    r, window = config.realizations, len(rec) if judge is None else config.confirm_window
     judged = [[] for _ in range(points)]  # (position, row), in gate order
     profiled = [{} for _ in range(points)]  # rows after the last judged, by position
     runs = [0] * points
@@ -564,19 +539,23 @@ def _judged_pass(config: ProtocolConfig, ask, points, width, sums, baseline, h) 
 
     def request(lo, hi, rows, hold):
         nonlocal mask
-        answers = ask((mask, rec[lo:hi], rows, hold))
+        vals = np.concatenate(ask((mask, rec[lo:hi], rows, hold)), axis=2)
         mask = [True] * len(live)
-        for t, total in enumerate(_summed(answers, sums, lo, live), lo):
-            for c in np.flatnonzero(rows[t - lo]):
-                profiled[live[c]][t] = total[c]
+        if before is not None:
+            carry = np.stack([before[a][1][lo:hi] for a in live], axis=1)
+            vals = np.concatenate([carry[:, :, np.newaxis], vals], axis=2)
+        # A copy, so that the rows kept do not hold the whole cumsum.
+        totals = np.cumsum(vals, axis=2)[:, :, -1].copy()
+        for t, c in np.argwhere(rows).tolist():
+            profiled[live[c]][lo + t] = totals[t, c]
 
     def passes(row):
-        return _delta(row[linear] / r, baseline) <= config.threshold
+        return judge is not None and _delta(row[judge[0]] / r, judge[1]) <= config.threshold
 
     def last(a):
         return judged[a][-1][0] if judged[a] else -1
 
-    def judge(a, t):
+    def judge_at(a, t):
         row = profiled[a].pop(t)
         runs[a] = runs[a] + 1 if passes(row) else 0
         judged[a].append((t, row))
@@ -592,7 +571,7 @@ def _judged_pass(config: ProtocolConfig, ask, points, width, sums, baseline, h) 
         )
         open_run = np.array([runs[a] > 0 for a in live])
         probes = [t % (h + 1) == h or t == len(rec) - 1 for t in range(done, done + k)]
-        rows = np.array([open_run | probe for probe in probes])
+        rows = open_run | np.array(probes)[:, np.newaxis]
         request(done, done + k, rows, rec[start] if h else None)
         done += k
         back = {}
@@ -606,7 +585,7 @@ def _judged_pass(config: ProtocolConfig, ask, points, width, sums, baseline, h) 
                     # A passing probe, the round's last row: look back to t.
                     back[a] = [u for u in range(t, q) if u not in profiled[a]]
                     break
-                judge(a, q)
+                judge_at(a, q)
                 if q > t:  # a failing probe: the gates before it stay unjudged
                     profiled[a].clear()
         if any(back.values()):
@@ -615,10 +594,10 @@ def _judged_pass(config: ProtocolConfig, ask, points, width, sums, baseline, h) 
             request(lo, done - 1, rows, rec[start])
         for a in back:
             while last(a) < done - 1:
-                judge(a, last(a) + 1)
+                judge_at(a, last(a) + 1)
         mask = [runs[a] <= window for a in live]
         live = [a for a, ok in zip(live, mask) if ok]
-    return [(rec[[t for t, _ in rows]], np.array([row for _, row in rows]) / r) for rows in judged]
+    return [([t for t, _ in rows], np.array([row for _, row in rows])) for rows in judged]
 
 
 def convergence_gate_count(

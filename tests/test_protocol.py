@@ -220,9 +220,12 @@ class TestRunEnsemble:
         # With at most 5 held states, 13 realizations run in passes: of 5, 4
         # and 4 in this process, or of 7 and 6, each in two workers' slices
         # (4 and 3, then 3 and 3).  Both give the bits of the run that holds
-        # them all.
-        config = make_config(num_qubits=3, realizations=13, max_gates=30)
-        whole = run_ensemble(config, workers=1)
+        # them all, also for a measure other than the linear one.
+        configs = [
+            make_config(num_qubits=3, realizations=13, max_gates=30, measures=measures)
+            for measures in [(Measure.LINEAR,), (Measure.VON_NEUMANN,)]
+        ]
+        wholes = [run_ensemble(config, workers=1) for config in configs]
         held = []
         chunks = randent.protocol._chunks
 
@@ -233,12 +236,13 @@ class TestRunEnsemble:
         monkeypatch.setattr(randent.protocol, "_chunks", recording)
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 5 * ((1 << 3) + 64))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for workers in (1, 2):
-            parts = run_ensemble(config, workers=workers)
-            np.testing.assert_array_equal(
-                whole.level_means[Measure.LINEAR], parts.level_means[Measure.LINEAR]
-            )
-        assert held == [5, 4, 4]
+        for config, whole in zip(configs, wholes):
+            (measure,) = config.measures
+            held.clear()
+            for workers in (1, 2):
+                parts = run_ensemble(config, workers=workers)
+                np.testing.assert_array_equal(whole.level_means[measure], parts.level_means[measure])
+            assert held == [5, 4, 4], measure
 
     def test_round_values_bounded(self, monkeypatch):
         # Two passes of 3 realizations: no call returns more than the round
@@ -248,8 +252,8 @@ class TestRunEnsemble:
         shapes = []
         run_batch = randent.protocol._run_batch
 
-        def recording(config, chunks, rec):
-            vals = run_batch(config, chunks, rec)
+        def recording(config, chunks, rec, *rest):
+            vals = run_batch(config, chunks, rec, *rest)
             shapes.append(vals.shape)
             return vals
 
@@ -497,6 +501,21 @@ class TestUntilConverged:
                     np.testing.assert_array_equal(
                         other.gate_indices, np.arange(other.gate_indices[-1] + 1)
                     )
+
+    def test_judged_column_need_not_be_first(self):
+        # The linear measure second: the same gates are judged, with the same rows.
+        gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3)]
+        config = make_config(num_qubits=4, realizations=12, max_gates=150, seed=5, threshold=0.05,
+                             confirm_window=4)
+        alone = run_ensemble(config, workers=1, gates=gates)
+        both = replace(config, measures=(Measure.VON_NEUMANN, Measure.LINEAR))
+        second = run_ensemble(both, workers=1, gates=gates)
+        assert [_count(traj, config) for traj in alone] == [13, 12, 79]
+        for want, got in zip(alone, second, strict=True):
+            np.testing.assert_array_equal(got.gate_indices, want.gate_indices)
+            np.testing.assert_array_equal(
+                got.level_means[Measure.LINEAR], want.level_means[Measure.LINEAR]
+            )
 
     def test_needs_linear_measure(self):
         config = make_config(measures=(Measure.VON_NEUMANN,))
