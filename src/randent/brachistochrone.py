@@ -107,10 +107,8 @@ def _converged_counts(base_config: ProtocolConfig, gates, workers: int | None) -
     realizations sliced over the workers, and each stops at its crossing.
     """
     config = replace(base_config, measures=(Measure.LINEAR,))
-    return [
-        convergence_gate_count(traj, Measure.LINEAR, None, config.threshold, config.confirm_window)
-        for traj in run_ensemble(config, workers, gates=gates)
-    ]
+    trajs = run_ensemble(config, workers, gates=gates)
+    return [convergence_gate_count(traj, Measure.LINEAR) for traj in trajs]
 
 
 def sweep_phi(

@@ -260,7 +260,7 @@ def _level_name(level: int | None) -> str:
 
 def _series(traj: Trajectory):
     """(measure, level name, mean, delta) of each series, in Trajectory.levels order."""
-    for measure in traj.measures:
+    for measure in traj.config.measures:
         for level in traj.levels:
             name = _level_name(level)
             yield measure, name, traj.mean_series(measure, level), traj.delta_series(measure, level)
@@ -280,7 +280,7 @@ def _report_rows(report: dict[tuple[Measure, int | None], ConvergenceEntry]):
 def _execute_run(args) -> int:
     config = args.config
     traj = run_ensemble(config, workers=args.workers)
-    report = convergence_report(traj, config.threshold, config.confirm_window)
+    report = convergence_report(traj)
     if args.format == "csv":
         _write_csv(args.output, (), _TRAJECTORY_HEADER, _trajectory_rows(traj))
         _write_csv(_report_path(args.output), (), _REPORT_HEADER, _report_rows(report))

