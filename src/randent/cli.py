@@ -45,6 +45,10 @@ _REPORT_HEADER = ("measure", "level", "n_gates", "decay_rate", "fit_hi", "fit_lo
 _SWEEP_PHI_HEADER = ("phi", "n_gates", "t_phi", "t_phys")
 _SWEEP_LAMBDA_HEADER = ("lambda_x", "lambda_y", "lambda_z", "n_gates")
 
+# The ProtocolConfig fields set by one flag each, --<name with dashes>,
+# whose type and default are those of the field's default.
+_SETTINGS = ("seed", "realizations", "max_gates", "eval_stride", "threshold", "confirm_window")
+
 # Each grid point is a whole ensemble; a longer grid is a typo in the step.
 MAX_GRID_POINTS = 10_000
 
@@ -121,12 +125,9 @@ def _add_protocol(parser: argparse.ArgumentParser) -> None:
         choices=[g.value for g in Geometry],
         default=ProtocolConfig.geometry.value,
     )
-    parser.add_argument("--seed", type=int, default=ProtocolConfig.seed)
-    parser.add_argument("--realizations", type=int, default=ProtocolConfig.realizations)
-    parser.add_argument("--max-gates", type=int, default=ProtocolConfig.max_gates)
-    parser.add_argument("--eval-stride", type=int, default=ProtocolConfig.eval_stride)
-    parser.add_argument("--threshold", type=float, default=ProtocolConfig.threshold)
-    parser.add_argument("--confirm-window", type=int, default=ProtocolConfig.confirm_window)
+    for name in _SETTINGS:
+        default = getattr(ProtocolConfig, name)
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--require-convergence", action="store_true")
 
@@ -138,10 +139,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="ensemble run with a fixed two-qubit gate")
     _add_common(p_run)
     _add_protocol(p_run)
-    p_run.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None,
-                       help="canonical gate coefficients x,y,z in radians")
-    p_run.add_argument("--phi", type=float, default=None,
-                       help="entangler gate angle in radians")
+    gate = p_run.add_mutually_exclusive_group()
+    gate.add_argument("--lambda", dest="lam", type=_parse_lambda, default=_DEFAULT_LAMBDA,
+                      help="canonical gate coefficients x,y,z in radians")
+    gate.add_argument("--phi", type=float, default=None, help="entangler gate angle in radians")
     p_run.add_argument("--measure", choices=["linear", "vonneumann", "both"], default="both")
 
     p_sweep = sub.add_parser("sweep-phi", help="gate count and physical time over a phi grid")
@@ -190,14 +191,7 @@ def _protocol_config(args) -> ProtocolConfig:
     gate = np.eye(4, dtype=complex)
     measures = (Measure.LINEAR,)
     if args.subcommand == "run":
-        if args.lam is not None and args.phi is not None:
-            raise UsageError("--lambda and --phi are mutually exclusive")
-        if args.phi is not None:
-            gate = entangler_gate(args.phi)
-        else:
-            if args.lam is None:
-                args.lam = _DEFAULT_LAMBDA
-            gate = canonical_gate(args.lam)
+        gate = entangler_gate(args.phi) if args.phi is not None else canonical_gate(args.lam)
         if args.measure == "both":
             measures = (Measure.LINEAR, Measure.VON_NEUMANN)
         else:
@@ -206,13 +200,8 @@ def _protocol_config(args) -> ProtocolConfig:
         num_qubits=args.qubits,
         fixed_gate=gate,
         geometry=Geometry(args.geometry),
-        realizations=args.realizations,
-        max_gates=args.max_gates,
-        eval_stride=args.eval_stride,
-        seed=args.seed,
         measures=measures,
-        threshold=args.threshold,
-        confirm_window=args.confirm_window,
+        **{name: getattr(args, name) for name in _SETTINGS},
     )
     if args.subcommand == "sweep-phi":
         _check_phi_times(config.max_gates, args.phi_grid, args.omega)
@@ -297,13 +286,8 @@ def _execute_run(args) -> int:
                     "qubits": args.qubits,
                     "geometry": args.geometry,
                     "gate": gate_desc,
-                    "realizations": args.realizations,
-                    "max_gates": args.max_gates,
-                    "eval_stride": args.eval_stride,
-                    "seed": args.seed,
                     "measures": [m.value for m in config.measures],
-                    "threshold": args.threshold,
-                    "confirm_window": args.confirm_window,
+                    **{name: getattr(config, name) for name in _SETTINGS},
                 },
                 "gate_index": [int(g) for g in traj.gate_indices],
                 "series": [

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import EntanglementProfile, Measure, _check_level, _level_values
-from .qstate import StateVector
+from .qstate import StateVector, _BATCH_ENTRIES
 
 __all__ = [
     "MonteCarloEstimate",
@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 _MAX_SAMPLE_QUBITS = 16
-
-# Most amplitudes of the states monte_carlo_baseline draws and measures per
-# batch: 4096 states at N=10, 64 at N=16, 64 MiB of amplitudes either way.
-_SAMPLE_AMPLITUDES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,7 @@ def monte_carlo_baseline(
 ) -> MonteCarloEstimate:
     """Estimate the level-m Haar average by sampling random pure states.
 
-    States are drawn in chunks of at most _SAMPLE_AMPLITUDES amplitudes
+    States are drawn in chunks of at most _BATCH_ENTRIES amplitudes
     (at least one state) from the single stream, which consumes the
     generator exactly like one draw per state.
     """
@@ -125,7 +121,7 @@ def monte_carlo_baseline(
     if samples < 100:
         raise ValueError(f"samples must be >= 100, got {samples}")
     values = np.empty(samples)
-    chunk = max(1, _SAMPLE_AMPLITUDES >> num_qubits)
+    chunk = max(1, _BATCH_ENTRIES >> num_qubits)
     done = 0
     while done < samples:
         b = min(chunk, samples - done)

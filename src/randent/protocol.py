@@ -24,6 +24,7 @@ from .haar_baseline import baseline_level
 from .qstate import (
     MAX_QUBITS,
     StateVector,
+    _BATCH_ENTRIES,
     _apply_pair_batch,
     _complex_gaussian,
     _orthonormalize_columns,
@@ -46,9 +47,6 @@ __all__ = [
     "convergence_report",
     "FIT_WINDOW",
 ]
-
-# Most amplitudes (complex128 entries) one numpy call advances.
-_BATCH_ENTRIES = 1 << 22
 
 # Most amplitudes one process holds at once (256 MiB), each realization's
 # random stream (about 1 KB) counted as 64 more: an ensemble whose slices

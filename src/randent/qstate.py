@@ -23,6 +23,10 @@ __all__ = [
 
 MAX_QUBITS = 24
 
+# Most amplitudes (complex128 entries) one numpy call advances or measures,
+# 64 MiB: 4096 states at N=10, 64 at N=16.
+_BATCH_ENTRIES = 1 << 22
+
 # Bell basis columns: (|00>+|11>)/sqrt2, (|00>-|11>)/sqrt2,
 # (|01>+|10>)/sqrt2, (|01>-|10>)/sqrt2.  The entries are 1 / math.sqrt(2.0),
 # one ulp below _GINIBRE_SCALE; each constant fixes output bits, so the two

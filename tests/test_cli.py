@@ -1,5 +1,6 @@
 """Command-line parsing, output files, round-trips, and exit codes."""
 import argparse
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -18,7 +19,7 @@ from randent import brachistochrone, entanglement, haar_baseline, protocol, qsta
 from randent.cli import MAX_GRID_POINTS, UsageError, _parse_grid, main, parse_args
 from randent.entanglement import SpectrumError
 from randent.haar_baseline import lubkin_linear_baseline
-from randent.protocol import WorkerError
+from randent.protocol import ProtocolConfig, WorkerError
 
 FAST_RUN = ["--qubits", "3", "--realizations", "4", "--max-gates", "20", "--workers", "1"]
 
@@ -104,6 +105,7 @@ class TestParseArgs:
         # The baseline draws nothing, so it takes no seed.
         ["baseline", "--seed", "5"],
         ["run", "--workers", "0"],
+        ["run", "--phi", "1.0", "--lambda", "0.1,0,0"],
     ])
     def test_invalid_settings_rejected(self, argv, tmp_path, capsys):
         with pytest.raises(UsageError):
@@ -227,6 +229,24 @@ class TestRunCommand:
         for row in rows:
             for field in (row[3], row[4]):
                 assert repr(float(field)) == field
+
+    def test_settings_reach_config_and_record(self, tmp_path):
+        # Every ProtocolConfig field with a scalar default is one flag.
+        values = {"seed": 7, "realizations": 3, "max_gates": 6, "eval_stride": 2,
+                  "threshold": 0.25, "confirm_window": 1}
+        scalar = {f.name for f in dataclasses.fields(ProtocolConfig)
+                  if isinstance(f.default, (int, float))}
+        assert set(randent.cli._SETTINGS) == scalar == set(values)
+        assert all(value != getattr(ProtocolConfig, name) for name, value in values.items())
+        out = tmp_path / "s.json"
+        argv = ["run", "--qubits", "3", "--workers", "1", "--format", "json", "--output", str(out)]
+        for name, value in values.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        config = parse_args(argv).config
+        assert {name: getattr(config, name) for name in values} == values
+        assert main(argv) == 0
+        record = json.loads(out.read_text())["config"]
+        assert {name: record[name] for name in values} == values
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "t.json"

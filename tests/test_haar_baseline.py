@@ -145,7 +145,7 @@ class TestMonteCarlo:
     def test_batch_size_leaves_values(self, budget, monkeypatch):
         cases = [(n, m, meas) for n, m in ((4, 2), (6, 3)) for meas in Measure]
         want = [monte_carlo_baseline(*case, 300, rng_stream(40)) for case in cases]
-        monkeypatch.setattr(haar_baseline, "_SAMPLE_AMPLITUDES", budget)
+        monkeypatch.setattr(haar_baseline, "_BATCH_ENTRIES", budget)
         assert [monte_carlo_baseline(*case, 300, rng_stream(40)) for case in cases] == want
 
 
