@@ -27,7 +27,18 @@ __all__ = [
 
 
 def optimal_gate_time(phi: float, omega: float = 1.0) -> float:
-    """Minimum duration of the angle-phi entangler, in units with hbar = 1."""
+    """Minimum duration of the angle-phi entangler, in units with hbar = 1.
+
+    The time of the precessing-field solution of Carlini, Hosoya, Koike &
+    Okudaira, PRL 96, 060503 (2006), for H(t) = B(t) (Z1 + Z2)/2 +
+    J(t) (X1 X2 - Y1 Y2)/2 under the constraint B^2 + J^2 = 2 omega^2.  H
+    acts only on the {|00>, |11>} block, as a field of magnitude
+    sqrt(2) omega in its x-z plane; precessing about the block's y axis at
+    nu = 2 (pi - phi) / t, it makes entangler_gate(phi) at t (tested).
+    That no field under the constraint is faster is not checked.  The
+    model times the gate itself, with no free local unitaries, so
+    t(phi) != t(pi - phi) although the two gates are locally equivalent.
+    """
     phi = float(phi)
     if not 0.0 <= phi <= math.pi:
         raise ValueError(f"phi must be in [0, pi], got {phi!r}")

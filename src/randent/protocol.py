@@ -235,31 +235,31 @@ def _chunks(config: ProtocolConfig, indices, gates) -> list[_Chunk]:
 
 
 def _run_batch(config: ProtocolConfig, chunks, rec, rows, hold) -> np.ndarray:
-    """Bring all chunks together to the recorded gates rec and stack their values.
+    """Bring all chunks together to the recorded gates rec and stack the values asked for.
 
-    Returns (len(rec), points, realizations, len(measures), floor(N/2)):
-    each gate count in rec is reached by every chunk before any chunk goes
-    on.  rows holds one boolean per point for each gate of rec: the points
-    profiled there, the others' values being zero; hold is passed on to
-    _run_chunk.  Realizations and points are simulated side by side, but
-    every value is bitwise identical to a batch of one: the random draws
-    come from per-realization streams and the batched linear algebra has no
-    cross-row reductions.
+    rows holds one boolean per point for each gate of rec, the points
+    profiled there.  Returns one block per True of rows, in row-major
+    order, (asked, realizations, len(measures), floor(N/2)); each gate
+    count in rec is reached by every chunk before any chunk goes on, asked
+    or not.  hold is passed on to _run_chunk.  Realizations and points are
+    simulated side by side, but every value is bitwise identical to a
+    batch of one: the random draws come from per-realization streams and
+    the batched linear algebra has no cross-row reductions.
     """
-    return np.stack([
+    return np.concatenate([
         np.concatenate([_run_chunk(config, chunk, g, want, hold) for chunk in chunks], axis=1)
         for g, want in zip(rec, rows)
     ])
 
 
 def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows, hold) -> np.ndarray:
-    """The chunk's values at gate count g, at the points of the boolean mask rows.
+    """The chunk's values at gate count g at the points of the boolean mask rows, and only those.
 
     A gate below chunk.applied is read from the states held; otherwise the
     chunk steps to g, each gate drawing once per stream and advancing every
     point's rows in one kernel call.  Unless hold is None, the state it
-    steps away from is held if its gate count is at least hold.  Rows not
-    profiled are zero.
+    steps away from is held if its gate count is at least hold.  Returns
+    (asked, realizations, n_measures, levels), empty if rows asks for none.
     """
     n = config.num_qubits
     points, b, dim = chunk.amps.shape
@@ -273,13 +273,12 @@ def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows, hold) -> np.ndarr
             _apply_pair_batch(amps, n, *_draw_steps(config.geometry, n, chunk.rngs, chunk.fixed))
             chunk.applied += 1
         state = chunk.amps
-    shape = (points, b, len(config.measures), n // 2)
-    if all(rows):
-        return _profile_values(state.reshape(points * b, dim), n, config.measures).reshape(shape)
-    out = np.zeros(shape)
-    if any(rows):
-        out[rows] = _profile_values(state[rows].reshape(-1, dim), n, config.measures).reshape(-1, *shape[1:])
-    return out
+    shape = (-1, b, len(config.measures), n // 2)
+    if not any(rows):
+        return np.empty((0, *shape[1:]))
+    # Every row asked: profiled in place, not copied.
+    asked = state if all(rows) else state[rows]
+    return _profile_values(asked.reshape(-1, dim), n, config.measures).reshape(shape)
 
 
 def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Measure, np.ndarray]:
@@ -294,27 +293,30 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
         )
     chunks = _chunks(config, [realization_index], [config.fixed_gate])
     rec = record_gate_indices(config)
-    vals = _run_batch(config, chunks, rec, np.ones((len(rec), 1), dtype=bool), None)[:, 0, 0]
+    vals = _run_batch(config, chunks, rec, np.ones((len(rec), 1), dtype=bool), None)[:, 0]
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
 def _slice(config: ProtocolConfig, gates, indices):
     """Answer function of the realizations indices, held at every point of a group.
 
-    answer(live, rec, rows, hold) keeps the points of the boolean mask
-    live, and of the states held those at gate counts of at least hold
-    (none if hold is None).  It then returns the values at each gate count
-    in rec at the points rows asks for (see _run_batch), (len(rec), points,
-    realizations, n_measures, levels).
+    answer(live, rec, rows, hold) keeps the points whose ids (positions in
+    gates) are in live, and of the states held those at gate counts of at
+    least hold (none if hold is None).  It then returns the values at each
+    gate count in rec of the live points rows asks for, and only those
+    (see _run_batch), (asked, realizations, n_measures, levels).
     """
     held = _chunks(config, indices, gates)
+    ids = list(range(len(gates)))
 
     def answer(live, rec, rows, hold):
+        keep = [a in live for a in ids]
+        ids[:] = live
         for chunk in held:
             chunk.past = {g: state for g, state in chunk.past.items() if hold is not None and g >= hold}
-            if not all(live):
-                chunk.fixed, chunk.amps = chunk.fixed[live], chunk.amps[live]
-                chunk.past = {g: state[live] for g, state in chunk.past.items()}
+            if not all(keep):
+                chunk.fixed, chunk.amps = chunk.fixed[keep], chunk.amps[keep]
+                chunk.past = {g: state[keep] for g, state in chunk.past.items()}
         return _run_batch(config, held, rec, rows, hold)
 
     return answer
@@ -520,19 +522,20 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, judge) -
 def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     """Each point's judged positions in the recorded gates, and its realization sums there.
 
-    Each sum runs in realization order after before, the answer of the pass
-    before (None in the first).  A round takes at most _BATCH_ENTRIES >> 4
-    values, or one recorded gate.  judge is None, or (the column of the
-    linear measure, its levels' baselines).  Without it h is 0: every point
-    is judged at every recorded gate, and none stops.  With it, a row
-    passes when its global linear delta is at or below config.threshold; a
-    point's run is its passes in a row, and its window closes when the run
-    exceeds config.confirm_window (w).  The probe gates are the
-    recorded-gate positions h, 2h + 1, 3h + 2, ... and the last; as h <= w,
-    every run of w + 1 recorded gates holds one.  A point whose run is open
-    is judged at the next gate.  Any other point is judged at the next
-    probe gate; if that passes, at every gate since its last judged one
-    too, so its run is the passes in a row ending at the probe.  A
+    A request names the live points by id, and the slices answer only the
+    rows it asks for, each summed in realization order after before, the
+    answer of the pass before (None in the first).  A round takes at most
+    _BATCH_ENTRIES >> 4 values, or one recorded gate.  judge is None, or
+    (the column of the linear measure, its levels' baselines).  Without it
+    h is 0: every point is judged at every recorded gate, and none stops.
+    With it, a row passes when its global linear delta is at or below
+    config.threshold; a point's run is its passes in a row, and its window
+    closes when the run exceeds config.confirm_window (w).  The probe gates
+    are the recorded-gate positions h, 2h + 1, 3h + 2, ... and the last; as
+    h <= w, every run of w + 1 recorded gates holds one.  A point whose run
+    is open is judged at the next gate.  Any other point is judged at the
+    next probe gate; if that passes, at every gate since its last judged
+    one too, so its run is the passes in a row ending at the probe.  A
     trajectory's judged gates thus run without gaps back to its last
     failing one, and a point stops where its window closes, at its count +
     w * stride.  A point is profiled at every gate of a round if its run is
@@ -543,33 +546,31 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     """
     rec = record_gate_indices(config)
     r, window = config.realizations, len(rec) if judge is None else config.confirm_window
-    judged = [[] for _ in range(points)]  # (position, row), in gate order
-    profiled = [{} for _ in range(points)]  # rows after the last judged, by position
+    sums = [{} for _ in range(points)]  # realization sums, by position
+    judged = [[] for _ in range(points)]  # positions, in gate order
     runs = [0] * points
-    live, mask, done = list(range(points)), [True] * points, 0
+    live, done = list(range(points)), 0
 
     def request(lo, hi, rows, hold):
-        nonlocal mask
-        vals = np.concatenate(ask((mask, rec[lo:hi], rows, hold)), axis=2)
-        mask = [True] * len(live)
-        if before is not None:
-            carry = np.stack([before[a][1][lo:hi] for a in live], axis=1)
-            vals = np.concatenate([carry[:, :, np.newaxis], vals], axis=2)
+        at = [(live[c], lo + t) for t, c in np.argwhere(rows).tolist()]
+        vals = np.concatenate(ask((live, rec[lo:hi], rows, hold)), axis=1)
+        if before is not None and at:
+            # The carry comes first in realization order: carry + v0, then + v1, ...
+            vals[:, 0] += [before[a][1][t] for a, t in at]
         # A copy, so that the rows kept do not hold the whole cumsum.
-        totals = np.cumsum(vals, axis=2)[:, :, -1].copy()
-        for t, c in np.argwhere(rows).tolist():
-            profiled[live[c]][lo + t] = totals[t, c]
+        for (a, t), row in zip(at, np.cumsum(vals, axis=1)[:, -1].copy()):
+            sums[a][t] = row
 
-    def passes(row):
-        return judge is not None and _delta(row[judge[0]] / r, judge[1]) <= config.threshold
+    def probe(t):
+        """The first probe gate's position at or after t."""
+        return min(t + h - t % (h + 1), len(rec) - 1)
 
-    def last(a):
-        return judged[a][-1][0] if judged[a] else -1
+    def passes(a, t):
+        return judge is not None and _delta(sums[a][t][judge[0]] / r, judge[1]) <= config.threshold
 
     def judge_at(a, t):
-        row = profiled[a].pop(t)
-        runs[a] = runs[a] + 1 if passes(row) else 0
-        judged[a].append((t, row))
+        runs[a] = runs[a] + 1 if passes(a, t) else 0
+        judged[a].append(t)
 
     while live and done < len(rec):
         start = done - done % (h + 1)
@@ -578,37 +579,34 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
             len(rec) - done,
             max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))),
             window + 1 - max(runs[a] for a in live),
-            start + h + 1 - done if h else len(rec),
+            probe(done) + 1 - done if h else len(rec),
         )
-        open_run = np.array([runs[a] > 0 for a in live])
-        probes = [t % (h + 1) == h or t == len(rec) - 1 for t in range(done, done + k)]
-        rows = open_run | np.array(probes)[:, np.newaxis]
+        rows = np.array([[runs[a] > 0 or probe(t) == t for a in live] for t in range(done, done + k)])
         request(done, done + k, rows, rec[start] if h else None)
         done += k
         back = {}
         for a in live:
-            while (t := last(a) + 1) < done:
+            t = judged[a][-1] + 1 if judged[a] else 0
+            while t < done:
                 # The gate a is judged at next: t while its run is open, else the next probe.
-                q = t if runs[a] else min(t + h - t % (h + 1), len(rec) - 1)
-                if q not in profiled[a]:
+                q = t if runs[a] else probe(t)
+                if q not in sums[a]:
                     break
-                if q > t and passes(profiled[a][q]):
-                    # A passing probe, the round's last row: look back to t.
-                    back[a] = [u for u in range(t, q) if u not in profiled[a]]
+                if q > t and passes(a, q):
+                    back[a] = t  # a passing probe, the round's last row: look back to t
                     break
-                judge_at(a, q)
-                if q > t:  # a failing probe: the gates before it stay unjudged
-                    profiled[a].clear()
-        if any(back.values()):
-            lo = min(ts[0] for ts in back.values() if ts)
-            rows = np.array([[t in back.get(a, ()) for a in live] for t in range(lo, done - 1)])
+                judge_at(a, q)  # past a failing probe, the gates before it stay unjudged
+                t = q + 1
+        missing = {(a, u) for a, t in back.items() for u in range(t, done - 1) if u not in sums[a]}
+        if missing:
+            lo = min(u for _, u in missing)
+            rows = np.array([[(a, u) in missing for a in live] for u in range(lo, done - 1)])
             request(lo, done - 1, rows, rec[start])
-        for a in back:
-            while last(a) < done - 1:
-                judge_at(a, last(a) + 1)
-        mask = [runs[a] <= window for a in live]
-        live = [a for a, ok in zip(live, mask) if ok]
-    return [([t for t, _ in rows], np.array([row for _, row in rows])) for rows in judged]
+        for a, t in back.items():
+            for u in range(t, done):
+                judge_at(a, u)
+        live = [a for a in live if runs[a] <= window]
+    return [(ts, np.array([sums[a][t] for t in ts])) for a, ts in enumerate(judged)]
 
 
 def convergence_gate_count(traj: Trajectory, measure: Measure, level: int | None = None) -> int | None:

@@ -263,10 +263,29 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(
             whole.level_means[Measure.LINEAR], passes.level_means[Measure.LINEAR]
         )
-        assert {shape[2] for shape in shapes} == {3}
+        assert {shape[1] for shape in shapes} == {3}
         assert sum(shape[0] for shape in shapes) == 2 * (config.max_gates + 1)
         budget = (1 << 12) >> 4
         assert all(shape[0] == 1 or math.prod(shape) <= budget for shape in shapes), shapes
+
+    def test_batch_returns_only_asked_rows(self, monkeypatch):
+        # Three chunks of at most two realizations; gates 2, 3, 5 and the
+        # last ask for no point, gate 1 for two points, gate 4 for one.
+        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", 2 * 3 << 4)
+        config = make_config(num_qubits=4, realizations=5, max_gates=6,
+                             measures=(Measure.LINEAR, Measure.VON_NEUMANN))
+        gates = [entangler_gate(phi) for phi in (0.4, 1.1, 2.0)]
+        rec = record_gate_indices(config)
+        rows = np.zeros((len(rec), len(gates)), dtype=bool)
+        rows[1, [0, 2]] = rows[4, 1] = True
+        chunks = randent.protocol._chunks(config, range(5), gates)
+        asked = randent.protocol._run_batch(config, chunks, rec, rows, None)
+        assert len(chunks) == 3 and [chunk.applied for chunk in chunks] == [rec[-1]] * 3
+        every = randent.protocol._run_batch(
+            config, randent.protocol._chunks(config, range(5), gates), rec, np.ones_like(rows), None
+        )
+        assert asked.shape == (3, 5, 2, 2)
+        np.testing.assert_array_equal(asked, every.reshape(len(rec), len(gates), 5, 2, 2)[rows])
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
@@ -498,6 +517,45 @@ class TestUntilConverged:
                     np.testing.assert_array_equal(
                         other.gate_indices, np.arange(other.gate_indices[-1] + 1)
                     )
+
+    @pytest.mark.parametrize("workers, sizes", [(1, [2, 2, 1]), (2, [3, 2])])
+    def test_judged_pass_after_a_carry_is_cut_alike(self, monkeypatch, workers, sizes):
+        # Room for two one-point realizations: groups of one point, each in
+        # passes of the given sizes.  The last pass adds its values to the
+        # sums before it and probes every other gate (h = 1), its slices
+        # holding one realization each; in all, four probes pass and look back.
+        config = make_config(num_qubits=4, realizations=5, max_gates=200, seed=42, threshold=0.2,
+                             confirm_window=3)
+        gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3, math.pi)]
+        whole = run_ensemble(config, workers=1, gates=gates)
+        assert [_count(traj) for traj in whole] == [4, 9, 24, None]
+        layout = []
+        run_pass = randent.protocol._pass
+
+        def recording(config, ask, points, width, before, judge, h):
+            asked = []
+
+            def spy(request):
+                asked.append(request[1])
+                return ask(request)
+
+            sums = run_pass(config, spy, points, width, before, judge, h)
+            # A look-back asks again for gates at or below those of the request before.
+            looks = sum(int(rec[0] <= prev[-1]) for prev, rec in zip(asked, asked[1:]))
+            layout.append((width // (config.num_qubits // 2), before is not None, h, looks))
+            return sums
+
+        monkeypatch.setattr(randent.protocol, "_pass", recording)
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 161)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        got = run_ensemble(config, workers=workers, gates=gates)
+        assert [size for size, *_ in layout] == sizes * len(gates)
+        assert {(carry, h) for _, carry, h, _ in layout[len(sizes) - 1 :: len(sizes)]} == {(True, 1)}
+        assert sum(looks for *_, looks in layout) == 4
+        for other, want in zip(got, whole, strict=True):
+            assert _count(other) == _count(want)
+            assert other.gate_indices[-1] == want.gate_indices[-1]
+            assert _assert_common_rows(other, want) > 0
 
     def test_judged_column_need_not_be_first(self):
         # The linear measure second: the same gates are judged, with the same rows.

@@ -65,6 +65,11 @@ CASES = [
     (["run", "--qubits", "4", "--realizations", "30", "--max-gates", "60", "--measure", "both",
       "--workers", "2", "--output", "run.csv"],
      {"_HELD_ENTRIES": 4 * (16 + 64), "_BATCH_ENTRIES": 2 << 4}),
+    # One-point groups in passes of 3 and 2 whose last adds to the first's
+    # sums and probes every other gate (h = 1) in one-realization slices.
+    (["sweep-phi", "--qubits", "4", "--realizations", "5", "--max-gates", "200",
+      "--threshold", "0.2", "--confirm-window", "3", "--workers", "2", "--output", "sweep.csv"],
+     {"_HELD_ENTRIES": 161}),
 ]
 
 # Runs in the fresh interpreter: sys.argv[1] is {"argv": [...], "patch": {...}}.
