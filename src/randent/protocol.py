@@ -216,7 +216,7 @@ class _Chunk:
     A point is config with its own fixed gate; all points share the
     realizations' streams.  Holds the streams, the points' gates (points, 4,
     4), their amplitudes (points, realizations, 2^N), the gates applied and
-    the states held at recorded gates below that, keyed by gate count.
+    the states held at recorded gates, keyed by gate count (see _run_chunk).
     """
 
     def __init__(self, config: ProtocolConfig, indices, gates):
@@ -234,50 +234,52 @@ def _chunks(config: ProtocolConfig, indices, gates) -> list[_Chunk]:
     return [_Chunk(config, indices[lo : lo + sub], gates) for lo in range(0, len(indices), sub)]
 
 
-def _run_batch(config: ProtocolConfig, chunks, rec, rows, hold) -> np.ndarray:
+def _run_batch(config: ProtocolConfig, chunks, rec, rows) -> np.ndarray:
     """Bring all chunks together to the recorded gates rec and stack the values asked for.
 
     rows holds one boolean per point for each gate of rec, the points
     profiled there.  Returns one block per True of rows, in row-major
     order, (asked, realizations, len(measures), floor(N/2)); each gate
     count in rec is reached by every chunk before any chunk goes on, asked
-    or not.  hold is passed on to _run_chunk.  Realizations and points are
-    simulated side by side, but every value is bitwise identical to a
-    batch of one: the random draws come from per-realization streams and
-    the batched linear algebra has no cross-row reductions.
+    or not.  Realizations and points are simulated side by side, but every
+    value is bitwise identical to a batch of one: the random draws come
+    from per-realization streams and the batched linear algebra has no
+    cross-row reductions.
     """
     return np.concatenate([
-        np.concatenate([_run_chunk(config, chunk, g, want, hold) for chunk in chunks], axis=1)
+        np.concatenate([_run_chunk(config, chunk, g, want) for chunk in chunks], axis=1)
         for g, want in zip(rec, rows)
     ])
 
 
-def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows, hold) -> np.ndarray:
+def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows) -> np.ndarray:
     """The chunk's values at gate count g at the points of the boolean mask rows, and only those.
 
     A gate below chunk.applied is read from the states held; otherwise the
     chunk steps to g, each gate drawing once per stream and advancing every
-    point's rows in one kernel call.  Unless hold is None, the state it
-    steps away from is held if its gate count is at least hold.  Returns
-    (asked, realizations, n_measures, levels), empty if rows asks for none.
+    point's rows in one kernel call.  It holds a copy of the state at g
+    unless rows asks for every point, and it drops every state held before
+    it steps on from a gate whose state it does not hold.  Returns (asked,
+    realizations, n_measures, levels), empty if rows asks for none.
     """
     n = config.num_qubits
     points, b, dim = chunk.amps.shape
-    if g < chunk.applied:
-        state = chunk.past[g]
-    else:
-        if hold is not None and hold <= chunk.applied < g:
-            chunk.past[chunk.applied] = chunk.amps.copy()
+    every = all(rows)
+    if g >= chunk.applied:
+        if chunk.applied not in chunk.past:
+            chunk.past.clear()
         amps = chunk.amps.reshape(points * b, dim)
         while chunk.applied < g:
             _apply_pair_batch(amps, n, *_draw_steps(config.geometry, n, chunk.rngs, chunk.fixed))
             chunk.applied += 1
-        state = chunk.amps
+        if not every:
+            chunk.past[g] = chunk.amps.copy()
+    state = chunk.amps if g == chunk.applied else chunk.past[g]
     shape = (-1, b, len(config.measures), n // 2)
     if not any(rows):
         return np.empty((0, *shape[1:]))
     # Every row asked: profiled in place, not copied.
-    asked = state if all(rows) else state[rows]
+    asked = state if every else state[rows]
     return _profile_values(asked.reshape(-1, dim), n, config.measures).reshape(shape)
 
 
@@ -293,31 +295,29 @@ def run_realization(config: ProtocolConfig, realization_index: int) -> dict[Meas
         )
     chunks = _chunks(config, [realization_index], [config.fixed_gate])
     rec = record_gate_indices(config)
-    vals = _run_batch(config, chunks, rec, np.ones((len(rec), 1), dtype=bool), None)[:, 0]
+    vals = _run_batch(config, chunks, rec, np.ones((len(rec), 1), dtype=bool))[:, 0]
     return {meas: vals[:, k, :] for k, meas in enumerate(config.measures)}
 
 
 def _slice(config: ProtocolConfig, gates, indices):
     """Answer function of the realizations indices, held at every point of a group.
 
-    answer(live, rec, rows, hold) keeps the points whose ids (positions in
-    gates) are in live, and of the states held those at gate counts of at
-    least hold (none if hold is None).  It then returns the values at each
-    gate count in rec of the live points rows asks for, and only those
-    (see _run_batch), (asked, realizations, n_measures, levels).
+    answer(live, rec, rows) keeps the points whose ids (positions in gates)
+    are in live, then returns the values at each gate count in rec of the
+    live points rows asks for, and only those (see _run_batch), (asked,
+    realizations, n_measures, levels).
     """
     held = _chunks(config, indices, gates)
     ids = list(range(len(gates)))
 
-    def answer(live, rec, rows, hold):
+    def answer(live, rec, rows):
         keep = [a in live for a in ids]
         ids[:] = live
-        for chunk in held:
-            chunk.past = {g: state for g, state in chunk.past.items() if hold is not None and g >= hold}
-            if not all(keep):
+        if not all(keep):
+            for chunk in held:
                 chunk.fixed, chunk.amps = chunk.fixed[keep], chunk.amps[keep]
                 chunk.past = {g: state[keep] for g, state in chunk.past.items()}
-        return _run_batch(config, held, rec, rows, hold)
+        return _run_batch(config, held, rec, rows)
 
     return answer
 
@@ -539,10 +539,11 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     trajectory's judged gates thus run without gaps back to its last
     failing one, and a point stops where its window closes, at its count +
     w * stride.  A point is profiled at every gate of a round if its run is
-    open at the start, else at probe gates only; a round ends no later than
-    the next probe gate, and the slices hold the states of the recorded
-    gates from the last probe on, at most h, for the gates a passing probe
-    looks back over.  h = 0 judges every gate.
+    open at the start, else at probe gates only, and a round ends no later
+    than the next probe gate.  A probe gate's row asks for every live
+    point, so the slices hold the states of at most h gates (see
+    _run_chunk), which include every gate a passing probe looks back over.
+    h = 0 judges every gate.
     """
     rec = record_gate_indices(config)
     r, window = config.realizations, len(rec) if judge is None else config.confirm_window
@@ -551,9 +552,9 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     runs = [0] * points
     live, done = list(range(points)), 0
 
-    def request(lo, hi, rows, hold):
+    def request(lo, hi, rows):
         at = [(live[c], lo + t) for t, c in np.argwhere(rows).tolist()]
-        vals = np.concatenate(ask((live, rec[lo:hi], rows, hold)), axis=1)
+        vals = np.concatenate(ask((live, rec[lo:hi], rows)), axis=1)
         if before is not None and at:
             # The carry comes first in realization order: carry + v0, then + v1, ...
             vals[:, 0] += [before[a][1][t] for a, t in at]
@@ -573,7 +574,6 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
         judged[a].append(t)
 
     while live and done < len(rec):
-        start = done - done % (h + 1)
         # A row adds at most one to a run, so only a round's last row closes a window.
         k = min(
             len(rec) - done,
@@ -582,7 +582,7 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
             probe(done) + 1 - done if h else len(rec),
         )
         rows = np.array([[runs[a] > 0 or probe(t) == t for a in live] for t in range(done, done + k)])
-        request(done, done + k, rows, rec[start] if h else None)
+        request(done, done + k, rows)
         done += k
         back = {}
         for a in live:
@@ -601,7 +601,7 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
         if missing:
             lo = min(u for _, u in missing)
             rows = np.array([[(a, u) in missing for a in live] for u in range(lo, done - 1)])
-            request(lo, done - 1, rows, rec[start])
+            request(lo, done - 1, rows)
         for a, t in back.items():
             for u in range(t, done):
                 judge_at(a, u)

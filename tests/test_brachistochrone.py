@@ -23,6 +23,13 @@ from randent.protocol import Geometry, ProtocolConfig, run_ensemble
 from randent.qstate import entangler_gate
 
 
+def field_terms():
+    """(Z1 + Z2)/2 and (X1 X2 - Y1 Y2)/2, the two terms of the gate-time model's Hamiltonian."""
+    one, x, z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+    y = np.array([[0, -1j], [1j, 0]])
+    return (np.kron(z, one) + np.kron(one, z)) / 2, (np.kron(x, x) - np.kron(y, y)) / 2
+
+
 def base_config(**kw):
     defaults = dict(
         num_qubits=3,
@@ -81,10 +88,7 @@ class TestOptimalGateTime:
         phi, omega, steps = 1.1, 1.0, 20_000
         t = optimal_gate_time(phi, omega)
         nu = 2 * (math.pi - phi) / t
-        one, x, z = np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1])
-        y = np.array([[0, -1j], [1j, 0]])
-        field = (np.kron(z, one) + np.kron(one, z)) / 2
-        coupling = (np.kron(x, x) - np.kron(y, y)) / 2
+        field, coupling = field_terms()
         mid = (np.arange(steps) + 0.5) * t / steps
         h = math.sqrt(2) * omega * (np.cos(nu * mid)[:, None, None] * field
                                     + np.sin(nu * mid)[:, None, None] * coupling)
@@ -93,6 +97,27 @@ class TestOptimalGateTime:
         for k in range(steps):
             u = (vecs[k] * np.exp(-1j * t / steps * energies[k])) @ vecs[k].conj().T @ u
         assert np.abs(u - entangler_gate(phi)).max() < 1e-8
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 3.0])
+    def test_two_pulses_bound_the_time(self, omega):
+        # Two constant pulses of the sqrt(2) omega field, each a half turn
+        # on the {|00>, |11>} block about axes pi - phi apart in its x-z
+        # plane, make the gate in pi / (sqrt(2) omega) at every phi: an
+        # upper bound on the optimal time, which meets it at phi = pi.
+        field, coupling = field_terms()
+        tau = math.pi / (2 * math.sqrt(2) * omega)
+        bound = 2 * tau
+
+        def pulse(a):
+            return expm(-1j * tau * math.sqrt(2) * omega * (math.cos(a) * field + math.sin(a) * coupling))
+
+        rng = np.random.default_rng(11)
+        for phi in [math.pi, *(math.pi - rng.uniform(0.0, math.pi, 50))]:
+            a = rng.uniform(0.0, 2 * math.pi)
+            u = pulse(a + math.pi - phi) @ pulse(a)
+            assert np.abs(u - entangler_gate(phi)).max() < 1e-12, phi
+            assert optimal_gate_time(phi, omega) <= bound + 1e-12, phi
+        assert abs(optimal_gate_time(math.pi, omega) - bound) < 1e-12
 
     def test_range_checks(self):
         with pytest.raises(ValueError):

@@ -279,13 +279,43 @@ class TestRunEnsemble:
         rows = np.zeros((len(rec), len(gates)), dtype=bool)
         rows[1, [0, 2]] = rows[4, 1] = True
         chunks = randent.protocol._chunks(config, range(5), gates)
-        asked = randent.protocol._run_batch(config, chunks, rec, rows, None)
+        asked = randent.protocol._run_batch(config, chunks, rec, rows)
         assert len(chunks) == 3 and [chunk.applied for chunk in chunks] == [rec[-1]] * 3
         every = randent.protocol._run_batch(
-            config, randent.protocol._chunks(config, range(5), gates), rec, np.ones_like(rows), None
+            config, randent.protocol._chunks(config, range(5), gates), rec, np.ones_like(rows)
         )
         assert asked.shape == (3, 5, 2, 2)
         np.testing.assert_array_equal(asked, every.reshape(len(rec), len(gates), 5, 2, 2)[rows])
+
+    def test_batch_holds_the_gates_not_fully_asked(self, monkeypatch):
+        # Three chunks of at most two realizations, stride 2.  Gates 0 and 2
+        # ask for no point and for one, so both are held; gate 4 asks for
+        # every point, and stepping on from it drops them; gates 6 and 8 ask
+        # for two, so they are held.
+        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", 2 * 3 << 3)
+        run_batch = randent.protocol._run_batch
+        config = make_config(num_qubits=3, realizations=5, max_gates=8, eval_stride=2)
+        gates = [entangler_gate(phi) for phi in (0.4, 1.1, 2.0)]
+        rec = record_gate_indices(config)
+        rows = np.array([[0, 0, 0], [0, 1, 0], [1, 1, 1], [1, 0, 1], [0, 1, 1]], dtype=bool)
+        every = run_batch(config, randent.protocol._chunks(config, range(5), gates), rec,
+                          np.ones_like(rows)).reshape(len(rec), len(gates), 5, 1, 1)
+        chunks = randent.protocol._chunks(config, range(5), gates)
+        assert len(chunks) == 3
+        held = [[0], [0, 2], [0, 2], [6], [6, 8]]
+        for k, g in enumerate(rec):
+            run_batch(config, chunks, rec[k : k + 1], rows[k : k + 1])
+            assert [sorted(chunk.past) for chunk in chunks] == [held[k]] * 3, g
+            if k == 1:
+                back = run_batch(config, chunks, rec[:1], np.ones_like(rows[:1]))
+                np.testing.assert_array_equal(back, every[0])
+        back = run_batch(config, chunks, rec[3:4], rows[2:3])
+        np.testing.assert_array_equal(back, every[3])
+        assert [chunk.applied for chunk in chunks] == [8] * 3
+
+        chunks = randent.protocol._chunks(config, range(5), gates)
+        run_batch(config, chunks, rec, np.ones_like(rows))
+        assert all(chunk.past == {} for chunk in chunks)
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected(self, workers, monkeypatch):

@@ -70,6 +70,9 @@ CASES = [
     (["sweep-phi", "--qubits", "4", "--realizations", "5", "--max-gates", "200",
       "--threshold", "0.2", "--confirm-window", "3", "--workers", "2", "--output", "sweep.csv"],
      {"_HELD_ENTRIES": 161}),
+    # Groups of 3 points whose slices each run 20 one-realization chunks
+    # and probe every 11th gate (h = 10), holding states across chunks.
+    ([*_SWEEP_SMALL, "--workers", "2", "--output", "sweep.csv"], {"_BATCH_ENTRIES": 3 << 4}),
 ]
 
 # Runs in the fresh interpreter: sys.argv[1] is {"argv": [...], "patch": {...}}.
