@@ -49,8 +49,10 @@ __all__ = [
 ]
 
 # Most amplitudes one process holds at once (256 MiB), each realization's
-# random stream (about 1 KB) counted as 64 more: an ensemble whose slices
-# would hold more runs in passes, each slice of which holds at most this.
+# random stream (about 1 KB) counted as 64 more, and a judged sweep's
+# checkpoint and saved draws as well (see _ensemble_means): an ensemble
+# whose slices would hold more runs in passes, each slice of which holds at
+# most this.
 _HELD_ENTRIES = 1 << 24
 
 # Largest gate cap: gate counts are int64.
@@ -167,13 +169,11 @@ def pick_pair(geometry: Geometry, num_qubits: int, rng: np.random.Generator) -> 
     raise ValueError(f"geometry must be a Geometry, got {geometry!r}")
 
 
-def _draw_steps(geometry: Geometry, num_qubits: int, rngs, gates):
-    """Kernel arguments (ii, jj, mats) of one protocol step for each point and stream.
+def _draw_steps(geometry: Geometry, num_qubits: int, rngs):
+    """The draws (ii, jj, kron) of one protocol step for each stream, kron = V_i (x) V_j (streams, 4, 4).
 
     Each stream gives one pick_pair draw, then one block of normals covering
     V_i then V_j, in the same order as two consecutive sample_haar_u2 draws.
-    Every point, one of gates (points, 4, 4), shares the draws; rows are
-    point-major, and a row's matrix is (V_i (x) V_j) @ gate.
     """
     b = len(rngs)
     ii = np.empty(b, dtype=np.int64)
@@ -183,9 +183,27 @@ def _draw_steps(geometry: Geometry, num_qubits: int, rngs, gates):
         ii[r], jj[r] = pick_pair(geometry, num_qubits, rng)
         z[r] = rng.standard_normal((2, 2, 2, 2))
     v = _orthonormalize_columns(_complex_gaussian(z))
-    kron = np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
+    return ii, jj, np.einsum("rab,rcd->racbd", v[:, 0], v[:, 1]).reshape(b, 4, 4)
+
+
+def _at_points(ii, jj, kron, gates):
+    """Kernel arguments (ii, jj, mats) of one step's draws at every point, one of gates (points, 4, 4).
+
+    Every point shares the draws; rows are point-major, and a row's matrix
+    is kron @ gate.
+    """
     points = len(gates)
     return np.tile(ii, points), np.tile(jj, points), (kron @ gates[:, np.newaxis]).reshape(-1, 4, 4)
+
+
+def _replayed(draws, gates):
+    """Kernel arguments of each saved draw (ii, jj, kron) at every point, one of gates, in order.
+
+    Each step's products are taken as it is replayed: all of them at once
+    would hold 16 entries per point, realization and step, as much as the
+    checkpoint itself at N = 4 for every step.
+    """
+    return (_at_points(*draw, gates) for draw in draws)
 
 
 def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -> StateVector:
@@ -194,7 +212,7 @@ def step(state: StateVector, config: ProtocolConfig, rng: np.random.Generator) -
     A batch of one through the ensemble engine's draw and kernel.
     """
     n = state.num_qubits
-    steps = _draw_steps(config.geometry, n, [rng], config.fixed_gate[np.newaxis])
+    steps = _at_points(*_draw_steps(config.geometry, n, [rng]), config.fixed_gate[np.newaxis])
     _apply_pair_batch(state.amplitudes[np.newaxis], n, *steps)
     return state
 
@@ -215,8 +233,11 @@ class _Chunk:
 
     A point is config with its own fixed gate; all points share the
     realizations' streams.  Holds the streams, the points' gates (points, 4,
-    4), their amplitudes (points, realizations, 2^N), the gates applied and
-    the states held at recorded gates, keyed by gate count (see _run_chunk).
+    4), their amplitudes (points, realizations, 2^N) and the gates applied;
+    and a checkpoint: a copy of the amplitudes at gate count at, or None,
+    with the draws of each step since it, which is stale once every live
+    point was asked at the gate applied, or a look-back used it (see
+    _run_chunk).
     """
 
     def __init__(self, config: ProtocolConfig, indices, gates):
@@ -225,7 +246,7 @@ class _Chunk:
         self.amps = np.zeros((len(self.fixed), len(self.rngs), 1 << config.num_qubits), dtype=complex)
         self.amps[:, :, 0] = 1.0
         self.applied = 0
-        self.past = {}
+        self.stale, self.check, self.at, self.draws = True, None, 0, []
 
 
 def _chunks(config: ProtocolConfig, indices, gates) -> list[_Chunk]:
@@ -241,11 +262,20 @@ def _run_batch(config: ProtocolConfig, chunks, rec, rows) -> np.ndarray:
     profiled there.  Returns one block per True of rows, in row-major
     order, (asked, realizations, len(measures), floor(N/2)); each gate
     count in rec is reached by every chunk before any chunk goes on, asked
-    or not.  Realizations and points are simulated side by side, but every
-    value is bitwise identical to a batch of one: the random draws come
-    from per-realization streams and the batched linear algebra has no
-    cross-row reductions.
+    or not.  A request whose gates are below the chunks' is a look-back:
+    each chunk narrows its checkpoint to the points rows asks for and
+    replays its saved draws on those rows (see _run_chunk), which leaves
+    the checkpoint stale.  Realizations and points are simulated side by
+    side, but every value is bitwise identical to a batch of one: the
+    random draws come from per-realization streams and the batched linear
+    algebra has no cross-row reductions.
     """
+    if len(rec) and rec[0] < chunks[0].applied:
+        points = rows.any(axis=0)
+        rows = rows[:, points]
+        for chunk in chunks:
+            chunk.check, chunk.draws = chunk.check[points], _replayed(chunk.draws, chunk.fixed[points])
+            chunk.stale = True
     return np.concatenate([
         np.concatenate([_run_chunk(config, chunk, g, want) for chunk in chunks], axis=1)
         for g, want in zip(rec, rows)
@@ -255,26 +285,35 @@ def _run_batch(config: ProtocolConfig, chunks, rec, rows) -> np.ndarray:
 def _run_chunk(config: ProtocolConfig, chunk: _Chunk, g, rows) -> np.ndarray:
     """The chunk's values at gate count g at the points of the boolean mask rows, and only those.
 
-    A gate below chunk.applied is read from the states held; otherwise the
-    chunk steps to g, each gate drawing once per stream and advancing every
-    point's rows in one kernel call.  It holds a copy of the state at g
-    unless rows asks for every point, and it drops every state held before
-    it steps on from a gate whose state it does not hold.  Returns (asked,
+    At or above chunk.applied, the chunk steps to g, each gate drawing once
+    per stream and advancing every point's rows in one kernel call.  It
+    first drops a stale checkpoint; then, unless rows asks for every point,
+    it copies its state as the checkpoint if it holds none, and it keeps
+    the draws of each step while it holds one.  Below chunk.applied is a
+    look-back (see _run_batch): the checkpoint's rows step on to g in place
+    with the saved draws, so no stream is drawn twice.  Returns (asked,
     realizations, n_measures, levels), empty if rows asks for none.
     """
     n = config.num_qubits
-    points, b, dim = chunk.amps.shape
+    b, dim = chunk.amps.shape[1:]
     every = all(rows)
     if g >= chunk.applied:
-        if chunk.applied not in chunk.past:
-            chunk.past.clear()
-        amps = chunk.amps.reshape(points * b, dim)
+        if chunk.stale:
+            chunk.check, chunk.draws = None, []
+        if not every and chunk.check is None:
+            chunk.check, chunk.at = chunk.amps.copy(), chunk.applied
         while chunk.applied < g:
-            _apply_pair_batch(amps, n, *_draw_steps(config.geometry, n, chunk.rngs, chunk.fixed))
+            draw = _draw_steps(config.geometry, n, chunk.rngs)
+            _apply_pair_batch(chunk.amps.reshape(-1, dim), n, *_at_points(*draw, chunk.fixed))
+            if chunk.check is not None:
+                chunk.draws.append(draw)
             chunk.applied += 1
-        if not every:
-            chunk.past[g] = chunk.amps.copy()
-    state = chunk.amps if g == chunk.applied else chunk.past[g]
+        chunk.stale, state = every, chunk.amps
+    else:
+        state = chunk.check
+        while chunk.at < g:
+            _apply_pair_batch(state.reshape(-1, dim), n, *next(chunk.draws))
+            chunk.at += 1
     shape = (-1, b, len(config.measures), n // 2)
     if not any(rows):
         return np.empty((0, *shape[1:]))
@@ -316,7 +355,7 @@ def _slice(config: ProtocolConfig, gates, indices):
         if not all(keep):
             for chunk in held:
                 chunk.fixed, chunk.amps = chunk.fixed[keep], chunk.amps[keep]
-                chunk.past = {g: state[keep] for g, state in chunk.past.items()}
+                chunk.check = None if chunk.stale else chunk.check[keep]
         return _run_batch(config, held, rec, rows)
 
     return answer
@@ -488,17 +527,25 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, judge) -
     fit in one batch and, when they fit, so that min(workers, R, cores)
     slices hold all R realizations within _HELD_ENTRIES each, a
     realization counted as points * 2^N amplitudes plus 64 for its random
-    stream.  A group above that runs its realizations in passes of at most
-    that many slices, each held (see _slices).  Every pass is one _pass.
-    The last is given judge (None for a run) and judges each point at the
-    gates it picks; every other pass is given None and sums every point at
-    every recorded gate, the next pass adding its values after those sums.
-    The sums are divided by R once, at the end, so every layout gives the
-    same bits.
+    stream; when judged with w > 0, as two copies of those amplitudes (its
+    states and their checkpoint) plus 64 and the saved draws.  A group
+    above that runs its realizations in passes of at most as many slices
+    as hold it by the first count, each held (see _slices).  Every pass is
+    one _pass.  The last is given judge (None for a run) and judges each
+    point at the gates it picks, with probe spacing h = w if its slices
+    hold it by the second count and 0 if not; every other pass is given
+    None and sums every point at every recorded gate, the next pass adding
+    its values after those sums.  The sums are divided by R once, at the
+    end, so every layout gives the same bits.
     """
-    r, n = config.realizations, config.num_qubits
+    r, n, w = config.realizations, config.num_qubits, config.confirm_window
     procs = min(workers or r, r, os.cpu_count() or 1)
-    size = max(1, min(_HELD_ENTRIES // -(-r // procs) - 64, _BATCH_ENTRIES) >> n)
+    # A judged realization with w > 0 also holds a checkpoint of its points'
+    # states and the draws of at most (w + 1) * stride steps, 17 entries each.
+    copies, saved = 1, 0
+    if judge is not None and w:
+        copies, saved = 2, 17 * min((w + 1) * config.eval_stride, config.max_gates)
+    size = max(1, min((_HELD_ENTRIES // -(-r // procs) - 64 - saved) // copies, _BATCH_ENTRIES) >> n)
     rec = record_gate_indices(config)
     out = []
     for lo in range(0, len(gates), size):
@@ -511,10 +558,10 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, judge) -
             slices = np.array_split(indices, min(procs, len(indices)))
             width = len(indices) * len(config.measures) * (n // 2)
             judging = judge if p == len(passes) - 1 else None
-            # h held states beside the slice's own stay within _HELD_ENTRIES.
-            h = min(config.confirm_window, max(0, _HELD_ENTRIES // (len(slices[0]) * entries) - 1))
+            held = len(slices[0]) * (copies * (len(group) << n) + 64 + saved)
+            h = w if judging is not None and held <= _HELD_ENTRIES else 0
             with _slices(config, group, slices) as ask:
-                sums = _pass(config, ask, len(group), width, sums, judging, 0 if judging is None else h)
+                sums = _pass(config, ask, len(group), width, sums, judging, h)
         out += [(rec[at], rows / r) for at, rows in sums]
     return out
 
@@ -541,9 +588,8 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     w * stride.  A point is profiled at every gate of a round if its run is
     open at the start, else at probe gates only, and a round ends no later
     than the next probe gate.  A probe gate's row asks for every live
-    point, so the slices hold the states of at most h gates (see
-    _run_chunk), which include every gate a passing probe looks back over.
-    h = 0 judges every gate.
+    point, so a slice's checkpoint (see _run_chunk) is at or before every
+    gate a passing probe looks back over.  h = 0 judges every gate.
     """
     rec = record_gate_indices(config)
     r, window = config.realizations, len(rec) if judge is None else config.confirm_window

@@ -119,6 +119,54 @@ class TestOptimalGateTime:
             assert optimal_gate_time(phi, omega) <= bound + 1e-12, phi
         assert abs(optimal_gate_time(math.pi, omega) - bound) < 1e-12
 
+    @pytest.mark.parametrize("phi", [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
+    def test_no_field_is_faster(self, phi):
+        # Numerical optimal control on the {|00>, |11>} block, where the two
+        # field terms act as sigma_z and sigma_x: K = 40 constant segments of
+        # duration t / K, each a field of magnitude m sqrt(2) omega, m in
+        # [0, 1], at its own angle in the x-z plane, maximizing
+        # Re tr(W^+ U) / 2 (1 only at U = W) from six seeded starts, each a
+        # field turning at a random rate, by L-BFGS-B with exact gradients.
+        # A piecewise-constant field follows the precessing one only
+        # approximately, so 1 % more time than optimal_gate_time reaches
+        # the gate to 1e-8, and the optimal time itself to 1e-6; 1 % less
+        # stays 1e-5 or more short of it.
+        from scipy.optimize import minimize
+
+        k, omega = 40, 1.0
+        sx, sz = np.array([[0, 1], [1, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+        target = entangler_gate(phi)[np.ix_([0, 3], [0, 3])]
+
+        def infidelity(params, tau):
+            turn = params[k:] * math.sqrt(2) * omega * tau
+            axis = np.cos(params[:k])[:, None, None] * sz + np.sin(params[:k])[:, None, None] * sx
+            d_axis = np.cos(params[:k])[:, None, None] * sx - np.sin(params[:k])[:, None, None] * sz
+            c, s = np.cos(turn)[:, None, None], np.sin(turn)[:, None, None]
+            u = c * np.eye(2) - 1j * s * axis
+            du = [-1j * s * d_axis, math.sqrt(2) * omega * tau * (-s * np.eye(2) - 1j * c * axis)]
+            before, after = [np.eye(2)], [target.conj().T]  # U_j...U_1 and W^+ U_K...U_j+1
+            for j in range(k):
+                before.append(u[j] @ before[-1])
+                after.append(after[-1] @ u[k - 1 - j])
+            after.reverse()
+            grad = [np.real(np.trace(after[j + 1] @ d[j] @ before[j])) / 2 for d in du for j in range(k)]
+            return 1 - np.real(np.trace(after[0])) / 2, -np.array(grad)
+
+        def best(t):
+            rng, mid, out = np.random.default_rng(5), (np.arange(k) + 0.5) / k, []
+            for _ in range(6):
+                start = rng.uniform(0, 2 * math.pi) + rng.uniform(-2 * math.pi, 2 * math.pi) * mid
+                res = minimize(infidelity, np.concatenate([start, np.ones(k)]), args=(t / k,), jac=True,
+                               method="L-BFGS-B", bounds=[(None, None)] * k + [(0, 1)] * k,
+                               options=dict(maxiter=5000, ftol=0, gtol=1e-14))
+                out.append(res.fun)
+            return min(out)
+
+        t = optimal_gate_time(phi, omega)
+        assert best(1.01 * t) < 1e-8
+        assert best(t) < 1e-6
+        assert best(0.99 * t) > 1e-5
+
     def test_range_checks(self):
         with pytest.raises(ValueError):
             optimal_gate_time(-0.1)
@@ -308,28 +356,33 @@ class TestEarlyExit:
         monkeypatch.setattr(randent.protocol, "_apply_pair_batch", counting)
         return steps
 
-    def test_converging_point_stops_at_window(self, gate_steps):
+    def test_converging_point_stops_at_window(self, gate_steps, replayed_rows):
+        # Each realization steps forward to the window's last gate, and the
+        # one look-back replays ten gate steps of each realization on top.
         config = base_config(
             num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
             max_gates=600, seed=42, threshold=0.01, confirm_window=10,
         )
         n = _converged_count(config)
         assert n is not None and n + config.confirm_window < config.max_gates
-        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations
+        assert replayed_rows == [10 * config.realizations]
+        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations + sum(replayed_rows)
 
-    def test_point_above_one_batch_stops_at_window(self, gate_steps, monkeypatch):
+    def test_point_above_one_batch_stops_at_window(self, gate_steps, replayed_rows, monkeypatch):
         config = base_config(
             num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
             max_gates=600, seed=42, threshold=0.01, confirm_window=10,
         )
         n = _converged_count(config)
         gate_steps.clear()
+        replayed_rows.clear()
         # Two chunks, of 49 realizations and of one, advance together.
         monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (50 << 4) - 1)
         assert _converged_count(config) == n
-        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations
+        assert replayed_rows == [10 * config.realizations]
+        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations + sum(replayed_rows)
 
-    def test_pooled_point_stops_at_window(self, monkeypatch):
+    def test_pooled_point_stops_at_window(self, replayed_rows, monkeypatch):
         # A one-point grid slices its realizations over two processes, and
         # each slice stops at the window: the steps are counted across them.
         steps = multiprocessing.Value("q", 0)
@@ -349,10 +402,12 @@ class TestEarlyExit:
             max_gates=600, seed=42, threshold=0.01, confirm_window=10,
         )
         n = _converged_count(config)
+        replayed_rows.clear()
         monkeypatch.setattr(randent.protocol, "_apply_pair_batch", counting)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert _converged_count(config, workers=2) == n
-        assert steps.value == (n + config.confirm_window) * config.realizations
+        assert replayed_rows == [10 * config.realizations]
+        assert steps.value == (n + config.confirm_window) * config.realizations + sum(replayed_rows)
         assert not here
 
     def test_point_above_held_states_stops_in_last_pass(self, gate_steps, monkeypatch):
@@ -412,24 +467,30 @@ class TestEarlyExit:
             num_qubits=4, realizations=20, max_gates=300, seed=42, threshold=0.02, confirm_window=4,
         )
 
-    def test_grid_points_share_draws(self, gate_steps, pick_pairs):
+    def test_grid_points_share_draws(self, gate_steps, pick_pairs, replayed_rows):
         config = self.grid_config()
         phis = [math.pi / 6, math.pi / 3, math.pi / 2, 2.5]
         counts = [_converged_count(replace(config, fixed_gate=entangler_gate(p))) for p in phis]
         assert None not in counts
         gate_steps.clear()
         pick_pairs.clear()
+        replayed_rows.clear()
         table = sweep_phi(config, phis, workers=1)
         assert [row.n_gates for row in table.rows] == counts
         steps = [(n + config.confirm_window) * config.realizations for n in counts]
-        assert sum(gate_steps) == sum(steps)
+        assert sum(gate_steps) == sum(steps) + sum(replayed_rows)
         assert len(pick_pairs) == max(steps)
 
-    def test_grid_split_into_groups(self, gate_steps, monkeypatch):
+    def test_grid_split_into_groups(self, gate_steps, replayed_rows, monkeypatch):
         config = self.grid_config()
         phis = [math.pi / 6, math.pi / 3, math.pi / 2, 2.5, math.pi]
         table = sweep_phi(config, phis, workers=1)
-        steps = sum(gate_steps)
+        # Each point steps forward to its window's last gate, or to the cap.
+        steps = sum(
+            (config.max_gates if n is None else n + config.confirm_window) * config.realizations
+            for n in (row.n_gates for row in table.rows)
+        )
+        assert sum(gate_steps) == steps + sum(replayed_rows)
         held = []
         chunks = randent.protocol._chunks
 
@@ -438,12 +499,16 @@ class TestEarlyExit:
             return chunks(config, indices, gates)
 
         monkeypatch.setattr(randent.protocol, "_chunks", recording)
-        # Two points' realizations fit in the cap, three do not.
-        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 20 * (2 * (1 << 4) + 64))
+        # Two copies of two points' realizations, with their streams and the
+        # draws of w + 1 steps, fit in the cap; those of three points do not.
+        monkeypatch.setattr(
+            randent.protocol, "_HELD_ENTRIES", 20 * (2 * 2 * (1 << 4) + 64 + 17 * (config.confirm_window + 1))
+        )
         gate_steps.clear()
+        replayed_rows.clear()
         assert sweep_phi(config, phis, workers=1) == table
         assert held == [2, 2, 1]
-        assert sum(gate_steps) == steps
+        assert sum(gate_steps) == steps + sum(replayed_rows)
 
     def test_unconverged_point_runs_to_cap(self, gate_steps):
         config = base_config(

@@ -288,10 +288,12 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(asked, every.reshape(len(rec), len(gates), 5, 2, 2)[rows])
 
     def test_batch_holds_the_gates_not_fully_asked(self, monkeypatch):
-        # Three chunks of at most two realizations, stride 2.  Gates 0 and 2
-        # ask for no point and for one, so both are held; gate 4 asks for
-        # every point, and stepping on from it drops them; gates 6 and 8 ask
-        # for two, so they are held.
+        # Three chunks of at most two realizations, stride 2.  Gate 0 asks
+        # for no point, so the state at 0 is the checkpoint, and gate 2 asks
+        # for one, so its two steps are saved.  The look-back to 0 leaves
+        # the checkpoint stale, and stepping to gate 4, which asks for every
+        # point, drops it; gates 6 and 8 ask for two, so the state at 4 is
+        # the checkpoint, with the four steps since it.
         monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", 2 * 3 << 3)
         run_batch = randent.protocol._run_batch
         config = make_config(num_qubits=3, realizations=5, max_gates=8, eval_stride=2)
@@ -302,10 +304,14 @@ class TestRunEnsemble:
                           np.ones_like(rows)).reshape(len(rec), len(gates), 5, 1, 1)
         chunks = randent.protocol._chunks(config, range(5), gates)
         assert len(chunks) == 3
-        held = [[0], [0, 2], [0, 2], [6], [6, 8]]
+
+        def checkpoints():
+            return [(chunk.at, len(chunk.draws)) if chunk.check is not None else None for chunk in chunks]
+
+        held = [(0, 0), (0, 2), None, (4, 2), (4, 4)]
         for k, g in enumerate(rec):
             run_batch(config, chunks, rec[k : k + 1], rows[k : k + 1])
-            assert [sorted(chunk.past) for chunk in chunks] == [held[k]] * 3, g
+            assert checkpoints() == [held[k]] * 3, g
             if k == 1:
                 back = run_batch(config, chunks, rec[:1], np.ones_like(rows[:1]))
                 np.testing.assert_array_equal(back, every[0])
@@ -315,7 +321,56 @@ class TestRunEnsemble:
 
         chunks = randent.protocol._chunks(config, range(5), gates)
         run_batch(config, chunks, rec, np.ones_like(rows))
-        assert all(chunk.past == {} for chunk in chunks)
+        assert checkpoints() == [None] * 3 and all(chunk.draws == [] for chunk in chunks)
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    @pytest.mark.parametrize("num_qubits", [3, 4, 5, 6])
+    def test_replay_is_bitwise_the_full_batch(self, num_qubits, geometry, monkeypatch):
+        # Gates 0 and 2 ask for every point, so no checkpoint is taken; gates
+        # 4, 6 and 8 ask for point 0 only, so the state at 2 is the
+        # checkpoint and the eight steps after it are saved.  The look-back
+        # replays realizations 1, 4 and 5 (two chunks) at points 1 and 2 from
+        # it: every state it profiles and every value are those of the batch
+        # of all six realizations, which asks for every row at every gate.
+        config = make_config(num_qubits=num_qubits, geometry=geometry, realizations=6, max_gates=10,
+                             eval_stride=2, measures=(Measure.LINEAR, Measure.VON_NEUMANN))
+        gates = [entangler_gate(1.1), canonical_gate([0.7, 0.4, 0.1]), entangler_gate(math.pi / 2)]
+        rec = record_gate_indices(config)
+        run_batch = randent.protocol._run_batch
+        states = []
+        profile = randent.protocol._profile_values
+
+        def recording(amps, num_qubits, measures):
+            states.append(amps.copy())
+            return profile(amps, num_qubits, measures)
+
+        monkeypatch.setattr(randent.protocol, "_profile_values", recording)
+        chunks = randent.protocol._chunks(config, range(6), gates)
+        ones = np.ones((1, 3), dtype=bool)
+        every = [run_batch(config, chunks, rec[k : k + 1], ones) for k in range(len(rec))]
+        every = np.array(every).reshape(len(rec), 3, 6, 2, num_qubits // 2)
+        full_states = np.array(states).reshape(len(rec), 3, 6, -1)
+        subset = [1, 4, 5]
+        monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", 2 * 3 << num_qubits)
+        chunks = randent.protocol._chunks(config, subset, gates)
+        assert [len(chunk.rngs) for chunk in chunks] == [2, 1]
+        rows = np.ones((len(rec), 3), dtype=bool)
+        rows[2:5, 1:] = False
+        run_batch(config, chunks, rec, rows)
+        assert [(chunk.at, len(chunk.draws)) for chunk in chunks] == [(2, 8)] * 2
+        back = np.array([[0, 1, 1], [0, 0, 1], [0, 1, 0]], dtype=bool)
+        states.clear()
+        got = run_batch(config, chunks, rec[2:5], back)
+        assert all(chunk.stale for chunk in chunks)
+        want = every[2:5][:, :, subset][back]
+        np.testing.assert_array_equal(got, want)
+        # Each (gate, chunk) profiles its asked rows at once, point-major.
+        replayed = np.concatenate([
+            np.concatenate([states.pop(0).reshape(int(row.sum()), len(part), -1) for part in ([1, 4], [5])],
+                           axis=1)
+            for row in back
+        ])
+        np.testing.assert_array_equal(replayed, full_states[2:5][:, :, subset][back])
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected(self, workers, monkeypatch):
@@ -530,8 +585,8 @@ class TestUntilConverged:
             # Two chunks per group, still held at once: the run stops at each window.
             "batched": lambda: run_ensemble(config, workers=1, gates=gates),
             # Groups of one point, each in two passes: the first runs to max_gates,
-            # the last stops at the window.  Its slice leaves no room for a held
-            # state, so it judges every gate.
+            # the last stops at the window.  Its slice leaves no room for a
+            # checkpoint and its draws, so it judges every gate.
             "passes": lambda: run_ensemble(config, workers=1, gates=gates),
         }
         for name, run in runs.items():
@@ -552,8 +607,9 @@ class TestUntilConverged:
     def test_judged_pass_after_a_carry_is_cut_alike(self, monkeypatch, workers, sizes):
         # Room for two one-point realizations: groups of one point, each in
         # passes of the given sizes.  The last pass adds its values to the
-        # sums before it and probes every other gate (h = 1), its slices
-        # holding one realization each; in all, four probes pass and look back.
+        # sums before it, and its slices hold one realization each, with room
+        # for a checkpoint and the draws of w + 1 = 4 steps: it probes every
+        # fourth gate (h = w = 3); in all, three probes pass and look back.
         config = make_config(num_qubits=4, realizations=5, max_gates=200, seed=42, threshold=0.2,
                              confirm_window=3)
         gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3, math.pi)]
@@ -576,12 +632,12 @@ class TestUntilConverged:
             return sums
 
         monkeypatch.setattr(randent.protocol, "_pass", recording)
-        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 161)
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 2 * (1 << 4) + 64 + 17 * 4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         got = run_ensemble(config, workers=workers, gates=gates)
         assert [size for size, *_ in layout] == sizes * len(gates)
-        assert {(carry, h) for _, carry, h, _ in layout[len(sizes) - 1 :: len(sizes)]} == {(True, 1)}
-        assert sum(looks for *_, looks in layout) == 4
+        assert {(carry, h) for _, carry, h, _ in layout[len(sizes) - 1 :: len(sizes)]} == {(True, 3)}
+        assert sum(looks for *_, looks in layout) == 3
         for other, want in zip(got, whole, strict=True):
             assert _count(other) == _count(want)
             assert other.gate_indices[-1] == want.gate_indices[-1]
@@ -620,7 +676,7 @@ class TestUntilConverged:
 
 
 class TestProbeGates:
-    """The last pass judges a point at every (h + 1)-th recorded gate, looking back over held states."""
+    """The last pass judges a point at every (h + 1)-th recorded gate, looking back by replay."""
 
     GRID = [entangler_gate(phi) for phi in (math.pi / 6, math.pi / 3, math.pi / 2, 2.5)]
 
@@ -629,9 +685,15 @@ class TestProbeGates:
                            confirm_window=10)
 
     @staticmethod
-    def held_entries(config, h, points):
-        """The _HELD_ENTRIES at which a one-slice pass of config at points gets probe spacing h."""
-        return (h + 1) * config.realizations * (points * (1 << config.num_qubits) + 64)
+    def held_entries(config, points):
+        """The least _HELD_ENTRIES at which a one-slice pass of config at points gets h = w.
+
+        Each realization holds two copies of the points' states (live and
+        checkpoint), 64 entries for its stream and 17 for each of the w + 1
+        steps' draws saved since the checkpoint.
+        """
+        steps = (config.confirm_window + 1) * config.eval_stride
+        return config.realizations * (2 * points * (1 << config.num_qubits) + 64 + 17 * steps)
 
     def test_fewer_rows_profiled_than_every_gate(self, monkeypatch):
         config = self.grid_config()
@@ -646,8 +708,9 @@ class TestProbeGates:
         probed = run_ensemble(config, workers=1, gates=self.GRID)
         probed_rows = sum(rows)
         rows.clear()
-        # One entry short of room for one held state: h = 0 judges every gate.
-        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", self.held_entries(config, 1, 4) - 1)
+        # One entry short of room for two copies of one point's states: groups
+        # of one point, each with h = 0, which judges every gate.
+        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", self.held_entries(config, 1) - 1)
         every = run_ensemble(config, workers=1, gates=self.GRID)
         assert [_count(t) for t in probed] == [_count(t) for t in every]
         assert None not in [_count(t) for t in every]
@@ -655,24 +718,39 @@ class TestProbeGates:
 
     @pytest.mark.parametrize("h", [3, 10])
     def test_held_states_within_spacing(self, h, monkeypatch):
-        config = self.grid_config()
+        # w = h.  With room for two copies of the four points' states, one
+        # group probes every (w + 1)-th gate, each chunk holding at most one
+        # checkpoint, a copy of its states, and the draws of at most w + 1
+        # steps.  One entry less, and groups of 3 and 1 points get h = w.
+        config = replace(self.grid_config(), confirm_window=h)
         want = [_count(t) for t in run_ensemble(config, workers=1, gates=self.GRID)]
-        held = []
-        run_chunk = randent.protocol._run_chunk
+        held, spacing = [], []
+        run_chunk, run_pass = randent.protocol._run_chunk, randent.protocol._pass
 
-        def recording(config, chunk, *args):
-            vals = run_chunk(config, chunk, *args)
-            held.append(len(chunk.past))
+        def recording(config, chunk, g, rows):
+            vals = run_chunk(config, chunk, g, rows)
+            if chunk.check is not None and g == chunk.applied:  # a forward step
+                held.append((chunk.check.size / chunk.amps.size, len(chunk.draws)))
             return vals
 
+        def spacing_of(*args):
+            spacing.append(args[-1])
+            return run_pass(*args)
+
         monkeypatch.setattr(randent.protocol, "_run_chunk", recording)
-        monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", self.held_entries(config, h, 4))
-        got = run_ensemble(config, workers=1, gates=self.GRID)
-        assert [_count(t) for t in got] == want
-        assert max(held) == h
+        monkeypatch.setattr(randent.protocol, "_pass", spacing_of)
+        room = self.held_entries(config, 4)
+        for entries, groups in [(room, [h]), (room - 1, [h, h])]:
+            monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", entries)
+            held.clear()
+            spacing.clear()
+            got = run_ensemble(config, workers=1, gates=self.GRID)
+            assert [_count(t) for t in got] == want
+            assert spacing == groups
+            assert max(held) == (1.0, h + 1)
 
     def test_crossing_between_probes_found_by_look_back(self, monkeypatch):
-        # w = 10 and room for ten held states: probes at positions 10, 21, ...
+        # w = 10 and room for a checkpoint: probes at positions 10, 21, ...
         # The probe at 10 fails and the one at 21 passes; looking back, 11
         # passes, 12 to 15 fail and the crossing is at 16.
         config = make_config(num_qubits=4, realizations=8, max_gates=150, seed=3, threshold=0.05,

@@ -73,6 +73,13 @@ CASES = [
     # Groups of 3 points whose slices each run 20 one-realization chunks
     # and probe every 11th gate (h = 10), holding states across chunks.
     ([*_SWEEP_SMALL, "--workers", "2", "--output", "sweep.csv"], {"_BATCH_ENTRIES": 3 << 4}),
+    # Room for two copies of 10 points' states and their draws: groups of
+    # 10 points and 1, each probing every 11th gate (h = w = 10).
+    (["sweep-phi", "--qubits", "6", "--realizations", "30", "--max-gates", "150", "--output", "sweep.csv"],
+     {"_HELD_ENTRIES": 48000}),
+    # Probes every 4th gate in two slices: several points pass their probes
+    # in one round and look back together, and points leave between probes.
+    ([*_SWEEP_SMALL, "--confirm-window", "3", "--workers", "2", "--output", "sweep.csv"], {}),
 ]
 
 # Runs in the fresh interpreter: sys.argv[1] is {"argv": [...], "patch": {...}}.
