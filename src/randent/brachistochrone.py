@@ -141,6 +141,14 @@ def sweep_phi(
     count.  Every point's realizations are split over min(workers, R,
     cores) processes (see _converged_counts).  The longest time a row can
     report is checked for each angle before any ensemble runs.
+
+    Every ensemble product of the entangler family is symmetric under phi
+    <-> pi - phi, for every measure, level and geometry: with each step's
+    Haar draws relabelled, a realization at pi - phi is the one at phi up
+    to local unitaries (tested).  So the counts at phi and pi - phi differ
+    by Monte Carlo noise alone, and on a mirror-symmetric grid the limit
+    argmin_time is at or below pi/2, as optimal_gate_time increases on
+    (0, pi].
     """
     _check_phi_times(base_config.max_gates, phi_grid, omega)
     counts = _converged_counts(base_config, [entangler_gate(phi) for phi in phi_grid], workers)

@@ -52,14 +52,6 @@ _SETTINGS = ("seed", "realizations", "max_gates", "eval_stride", "threshold", "c
 # Each grid point is a whole ensemble; a longer grid is a typo in the step.
 MAX_GRID_POINTS = 10_000
 
-_EXIT_USAGE = 1
-_EXIT_IO = 2
-_EXIT_NOT_CONVERGED = 3
-_EXIT_SPECTRUM = 4
-_EXIT_WORKER = 5
-_EXIT_MEMORY = 6
-_EXIT_INTERRUPTED = 130
-
 
 class UsageError(Exception):
     """Bad or contradictory command-line input."""
@@ -70,29 +62,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_lambda(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
+def _finite_triple(text: str, sep: str, shape: str, finite: str) -> tuple[float, float, float]:
+    """The three finite floats sep splits text into; shape and finite open each fault's message."""
+    parts = text.split(sep)
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected three comma-separated values, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{shape}, got {text!r}")
     try:
-        lam = tuple(float(p) for p in parts)
+        values = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not all(math.isfinite(v) for v in lam):
-        raise argparse.ArgumentTypeError(f"lambda components must be finite, got {text!r}")
-    return lam
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"{finite}, got {text!r}")
+    return values
+
+
+def _parse_lambda(text: str) -> tuple[float, float, float]:
+    return _finite_triple(
+        text, ",", "expected three comma-separated values", "lambda components must be finite"
+    )
 
 
 def _parse_grid(text: str) -> list[float]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-    try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise argparse.ArgumentTypeError(f"start, stop and step must be finite, got {text!r}")
+    start, stop, step = _finite_triple(
+        text, ":", "expected start:stop:step", "start, stop and step must be finite"
+    )
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"need stop >= start and step > 0, got {text!r}")
     tol = 1e-9 * max(1.0, abs(stop))
@@ -234,15 +227,6 @@ def _write_json(path: Path, command: str, payload: dict) -> None:
     print(f"wrote {path}")
 
 
-def _convergence_exit(args, where: str, missing: list) -> int:
-    """Exit code 3 when --require-convergence is set and something did not converge."""
-    if args.require_convergence and missing:
-        detail = ", ".join(str(v) for v in missing)
-        print(f"convergence required but not reached {where}: {detail}", file=sys.stderr)
-        return _EXIT_NOT_CONVERGED
-    return 0
-
-
 def _level_name(level: int | None) -> str:
     return "global" if level is None else str(level)
 
@@ -266,104 +250,79 @@ def _report_rows(report: dict[tuple[Measure, int | None], ConvergenceEntry]):
         yield measure.value, _level_name(level), e.n_gates, e.decay_rate, *FIT_WINDOW
 
 
-def _execute_run(args) -> int:
+# Each command returns what it produced: its CSV tables, each (path, meta,
+# header, rows); its JSON record; its stdout summary lines; and (where,
+# items), the items that did not converge.
+def _run(args):
     config = args.config
     traj = run_ensemble(config, workers=args.workers)
     report = convergence_report(traj)
-    if args.format == "csv":
-        _write_csv(args.output, (), _TRAJECTORY_HEADER, _trajectory_rows(traj))
-        _write_csv(_report_path(args.output), (), _REPORT_HEADER, _report_rows(report))
+    tables = [
+        (args.output, (), _TRAJECTORY_HEADER, _trajectory_rows(traj)),
+        (_report_path(args.output), (), _REPORT_HEADER, _report_rows(report)),
+    ]
+    if args.phi is not None:
+        gate = {"kind": "entangler", "phi": args.phi}
     else:
-        if args.phi is not None:
-            gate_desc = {"kind": "entangler", "phi": args.phi}
-        else:
-            gate_desc = {"kind": "canonical", "lambda": list(args.lam)}
-        _write_json(
-            args.output,
-            "run",
+        gate = {"kind": "canonical", "lambda": list(args.lam)}
+    record = {
+        "config": {
+            "qubits": args.qubits,
+            "geometry": args.geometry,
+            "gate": gate,
+            "measures": [m.value for m in config.measures],
+            **{name: getattr(config, name) for name in _SETTINGS},
+        },
+        "gate_index": [int(g) for g in traj.gate_indices],
+        "series": [
             {
-                "config": {
-                    "qubits": args.qubits,
-                    "geometry": args.geometry,
-                    "gate": gate_desc,
-                    "measures": [m.value for m in config.measures],
-                    **{name: getattr(config, name) for name in _SETTINGS},
-                },
-                "gate_index": [int(g) for g in traj.gate_indices],
-                "series": [
-                    {
-                        "measure": measure.value,
-                        "level": name,
-                        "mean_E": [float(v) for v in mean],
-                        "delta_E": [float(v) for v in delta],
-                    }
-                    for measure, name, mean, delta in _series(traj)
-                ],
-                "report": [dict(zip(_REPORT_HEADER, row)) for row in _report_rows(report)],
-            },
-        )
-    failed = []
+                "measure": measure.value,
+                "level": name,
+                "mean_E": [float(v) for v in mean],
+                "delta_E": [float(v) for v in delta],
+            }
+            for measure, name, mean, delta in _series(traj)
+        ],
+        "report": [dict(zip(_REPORT_HEADER, row)) for row in _report_rows(report)],
+    }
+    summary = []
     for measure in config.measures:
         e = report[measure, None]
         status = f"n_gates={e.n_gates}" if e.n_gates is not None else "not converged"
         rate = f" decay_rate={_fmt(e.decay_rate)}" if e.decay_rate is not None else ""
-        print(f"{measure.value} global: {status}{rate}")
-        if e.n_gates is None:
-            failed.append(measure.value)
-    return _convergence_exit(args, "for", failed)
+        summary.append(f"{measure.value} global: {status}{rate}")
+    failed = [m.value for m in config.measures if report[m, None].n_gates is None]
+    return tables, record, summary, ("for", failed)
 
 
-def _execute_sweep_phi(args) -> int:
+def _sweep_phi(args):
     table = sweep_phi(args.config, args.phi_grid, omega=args.omega, workers=args.workers)
     rows = [(r.phi, r.n_gates, r.t_phi, r.t_phys) for r in table.rows]
-    if args.format == "csv":
-        meta = (("argmin_gates", table.argmin_gates), ("argmin_time", table.argmin_time))
-        _write_csv(args.output, meta, _SWEEP_PHI_HEADER, rows)
-    else:
-        _write_json(
-            args.output,
-            "sweep-phi",
-            {
-                "omega": args.omega,
-                "argmin_gates": table.argmin_gates,
-                "argmin_time": table.argmin_time,
-                "rows": [dict(zip(_SWEEP_PHI_HEADER, row)) for row in rows],
-            },
-        )
-    print(f"argmin_gates={_fmt(table.argmin_gates)} argmin_time={_fmt(table.argmin_time)}")
-    return _convergence_exit(args, "at phi", [r.phi for r in table.rows if r.n_gates is None])
+    argmins = (("argmin_gates", table.argmin_gates), ("argmin_time", table.argmin_time))
+    record = {"omega": args.omega, **dict(argmins)}
+    record["rows"] = [dict(zip(_SWEEP_PHI_HEADER, row)) for row in rows]
+    summary = [" ".join(f"{k}={_fmt(v)}" for k, v in argmins)]
+    missing = [r.phi for r in table.rows if r.n_gates is None]
+    return [(args.output, argmins, _SWEEP_PHI_HEADER, rows)], record, summary, ("at phi", missing)
 
 
-def _execute_sweep_lambda(args) -> int:
+def _sweep_lambda(args):
     rows = sweep_lambda(args.config, args.lambda_grid, workers=args.workers)
-    if args.format == "csv":
-        _write_csv(args.output, (), _SWEEP_LAMBDA_HEADER, [(*r.lam, r.n_gates) for r in rows])
-    else:
-        _write_json(
-            args.output,
-            "sweep-lambda",
-            {"rows": [{"lambda": list(r.lam), "n_gates": r.n_gates} for r in rows]},
-        )
-    return _convergence_exit(args, "at lambda_x", [r.lam[0] for r in rows if r.n_gates is None])
+    table = (args.output, (), _SWEEP_LAMBDA_HEADER, [(*r.lam, r.n_gates) for r in rows])
+    record = {"rows": [{"lambda": list(r.lam), "n_gates": r.n_gates} for r in rows]}
+    return [table], record, [], ("at lambda_x", [r.lam[0] for r in rows if r.n_gates is None])
 
 
-def _execute_baseline(args) -> int:
+def _baseline(args):
     table = haar_global_baseline(args.qubits, Measure(args.measure))
-    if args.format == "csv":
-        rows = [*enumerate(table.per_level, start=1), ("global", table.global_value)]
-        _write_csv(args.output, (), ("m", "value"), rows)
-    else:
-        _write_json(
-            args.output,
-            "baseline",
-            {
-                "qubits": args.qubits,
-                "measure": args.measure,
-                "per_level": list(table.per_level),
-                "global": table.global_value,
-            },
-        )
-    return 0
+    rows = [*enumerate(table.per_level, start=1), ("global", table.global_value)]
+    record = {
+        "qubits": args.qubits,
+        "measure": args.measure,
+        "per_level": list(table.per_level),
+        "global": table.global_value,
+    }
+    return [(args.output, (), ("m", "value"), rows)], record, [], ("", [])
 
 
 def _report_path(path: Path) -> Path:
@@ -372,13 +331,17 @@ def _report_path(path: Path) -> Path:
 
 
 def _check_output_dir(path: Path) -> None:
-    """Raise, before any work, the OSError that writing to path would raise for it or its directory."""
+    """Raise, before any work, the OSError that writing to path would raise for it or its directory.
+
+    Writing truncates an existing file, so its own permission decides;
+    otherwise its directory's does.
+    """
     parent = path.parent
     if not parent.is_dir():
         code = errno.ENOTDIR if parent.exists() else errno.ENOENT
     elif path.is_dir():
         code = errno.EISDIR
-    elif not os.access(parent, os.W_OK):
+    elif not os.access(path if path.exists() else parent, os.W_OK):
         code = errno.EACCES
     else:
         return
@@ -386,16 +349,32 @@ def _check_output_dir(path: Path) -> None:
 
 
 def execute(args) -> int:
+    """Run the command and write its CSV tables or its JSON record, then print its summary.
+
+    Returns 3 if --require-convergence is set and something did not
+    converge, else 0.  The output paths are checked before any work.
+    """
+    csv = args.format == "csv"
     _check_output_dir(args.output)
-    if args.subcommand == "run" and args.format == "csv":
+    if csv and args.subcommand == "run":
         _check_output_dir(_report_path(args.output))
-    if args.subcommand == "run":
-        return _execute_run(args)
-    if args.subcommand == "sweep-phi":
-        return _execute_sweep_phi(args)
-    if args.subcommand == "sweep-lambda":
-        return _execute_sweep_lambda(args)
-    return _execute_baseline(args)
+    commands = {
+        "run": _run, "sweep-phi": _sweep_phi, "sweep-lambda": _sweep_lambda, "baseline": _baseline
+    }
+    tables, record, summary, (where, missing) = commands[args.subcommand](args)
+    if csv:
+        for table in tables:
+            _write_csv(*table)
+    else:
+        _write_json(args.output, args.subcommand, record)
+    for line in summary:
+        print(line)
+    # A baseline misses nothing, and has no --require-convergence.
+    if missing and args.require_convergence:
+        detail = ", ".join(str(v) for v in missing)
+        print(f"convergence required but not reached {where}: {detail}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def main(argv=None) -> int:
@@ -403,24 +382,19 @@ def main(argv=None) -> int:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
+        return 1
+    # Each failure's stderr label and exit code, matched in this order.
+    failures = {OSError: ("i/o error", 2), SpectrumError: ("spectrum error", 4),
+                WorkerError: ("worker process failed", 5), MemoryError: ("memory error", 6)}
     try:
         return execute(args)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return _EXIT_IO
-    except SpectrumError as exc:
-        print(f"spectrum error: {exc}", file=sys.stderr)
-        return _EXIT_SPECTRUM
-    except WorkerError as exc:
-        print(f"worker process failed: {exc}", file=sys.stderr)
-        return _EXIT_WORKER
-    except MemoryError as exc:
-        print(f"memory error: {exc}", file=sys.stderr)
-        return _EXIT_MEMORY
+    except tuple(failures) as exc:
+        label, code = next(v for kind, v in failures.items() if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
-        return _EXIT_INTERRUPTED
+        return 130
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +284,23 @@ class TestRunCommand:
             assert main([command, *FAST_RUN, "--output", str(out)]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("i/o error:"), err
+        # An existing file's own permission decides, else its directory's.
+        # os.access stands in for file modes, which root ignores.
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        for path in (locked / "old.csv", locked / "r.csv", locked / "r_report.csv", tmp_path / "s_report.csv"):
+            path.write_text("")
+        refused = {locked, locked / "old.csv", tmp_path / "s_report.csv"}
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path) not in refused)
+        commands = ("run", "sweep-phi", "sweep-lambda")
+        cases = [(c, locked / name) for c in commands for name in ("old.csv", "new.csv")]
+        for command, out in [*cases, ("run", tmp_path / "s.csv")]:
+            assert main([command, *FAST_RUN, "--output", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("i/o error:"), err
+        for command in commands:
+            with pytest.raises(AssertionError, match="ensemble started"):
+                main([command, *FAST_RUN, "--output", str(locked / "r.csv")])
 
     def test_require_convergence_failure(self, tmp_path):
         out = tmp_path / "t.csv"

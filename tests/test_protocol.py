@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randent.protocol
+from randent.brachistochrone import sweep_phi
 from randent.entanglement import Measure, global_entanglement
 from randent.haar_baseline import haar_global_baseline
 from randent.protocol import (
@@ -766,6 +767,106 @@ class TestProbeGates:
             np.testing.assert_array_equal(
                 traj.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][10:27]
             )
+
+
+_S = np.diag([1, 1j])
+_SZ = _S @ np.diag([1, -1])
+
+
+def _mirror_draws(monkeypatch):
+    """Wrap every step's draws (ii, jj, kron): kron becomes (S^dag (x) S^dag) kron (SZ (x) SZ).
+
+    S = diag(1, i).  Forked workers inherit the patch, and a look-back
+    replays the wrapped draws it saved.
+    """
+    draw = randent.protocol._draw_steps
+    left, right = np.kron(_S.conj(), _S.conj()), np.kron(_SZ, _SZ)
+
+    def mirrored(geometry, num_qubits, rngs):
+        ii, jj, kron = draw(geometry, num_qubits, rngs)
+        return ii, jj, left @ kron @ right
+
+    monkeypatch.setattr(randent.protocol, "_draw_steps", mirrored)
+
+
+class TestMirror:
+    """The phi <-> pi - phi symmetry, checked through the engine.
+
+    entangler_gate(pi - phi) = -(Z S^dag (x) Z S^dag) entangler_gate(phi) (S (x) S),
+    so with mirrored draws (see _mirror_draws) a step at pi - phi takes
+    (S^dag)^(x)N |psi> to minus (S^dag)^(x)N times the step at phi of |psi>.
+    From |0...0>, every state of a realization at pi - phi is then the one
+    at phi up to local unitaries and a sign, so every entanglement value
+    agrees.  The mirror only relabels Haar draws, so every ensemble product
+    of the entangler family is symmetric under phi <-> pi - phi in the limit.
+    """
+
+    def test_gate_identity(self):
+        for phi in (0.0, 0.4, math.pi / 2, 2.0, math.pi):
+            want = -np.kron(_SZ.conj(), _SZ.conj()) @ entangler_gate(phi) @ np.kron(_S, _S)
+            np.testing.assert_allclose(entangler_gate(math.pi - phi), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_states_differ_by_local_phases(self, geometry, monkeypatch):
+        n, phi, gates = 4, 1.1, 40
+        config = make_config(num_qubits=n, geometry=geometry, fixed_gate=entangler_gate(phi))
+        state, rng, plain = StateVector.basis_state(n, 0), rng_stream(7), []
+        for _ in range(gates):
+            plain.append(step(state, config, rng).amplitudes.copy())
+        _mirror_draws(monkeypatch)
+        config = replace(config, fixed_gate=entangler_gate(math.pi - phi))
+        state, rng = StateVector.basis_state(n, 0), rng_stream(7)
+        # (S^dag)^(x)N is diagonal: (-i)^k on a basis state with k ones.
+        local = (-1j) ** np.array([bin(b).count("1") for b in range(1 << n)])
+        for want in plain:
+            got = step(state, config, rng).amplitudes
+            phase = np.vdot(local * want, got)
+            assert abs(abs(phase) - 1.0) < 1e-12
+            np.testing.assert_allclose(got, phase * local * want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("geometry", list(Geometry))
+    def test_ensemble_means_mirror(self, n, geometry, monkeypatch):
+        # The plain side in this process, the mirrored side in two workers.
+        phi = 0.3 + 0.2 * n
+        both = (Measure.LINEAR, Measure.VON_NEUMANN)
+        config = make_config(num_qubits=n, geometry=geometry, realizations=6, max_gates=30,
+                             measures=both, fixed_gate=entangler_gate(phi))
+        plain = run_ensemble(config, workers=1)
+        _mirror_draws(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if n == 4 and geometry is Geometry.NONLOCAL:
+            # One realization per slice: three passes of two slices.
+            monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", (1 << n) + 64)
+        config = replace(config, fixed_gate=entangler_gate(math.pi - phi))
+        mirrored = run_ensemble(config, workers=2)
+        np.testing.assert_array_equal(mirrored.gate_indices, plain.gate_indices)
+        for measure in both:
+            np.testing.assert_allclose(
+                mirrored.level_means[measure], plain.level_means[measure], rtol=0, atol=1e-12
+            )
+
+    def test_sweep_counts_mirror(self, monkeypatch):
+        # w = 4 probes every 5th recorded gate, and a passing probe looks back
+        # by replaying the saved, mirrored draws.
+        grid = [math.pi / 6, math.pi / 3, math.pi / 2 - 0.1, 2.0]
+        config = make_config(num_qubits=4, realizations=40, max_gates=400, seed=42,
+                             threshold=0.01, confirm_window=4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        plain = [row.n_gates for row in sweep_phi(config, grid, workers=2).rows]
+        _mirror_draws(monkeypatch)
+        replays = []
+        replayed = randent.protocol._replayed
+
+        def counting(draws, gates):
+            replays.append(len(gates))
+            return replayed(draws, gates)
+
+        monkeypatch.setattr(randent.protocol, "_replayed", counting)
+        mirrored = sweep_phi(config, [math.pi - phi for phi in grid], workers=1)
+        assert [row.n_gates for row in mirrored.rows] == plain
+        assert None not in plain
+        assert replays
 
 
 class TestFitDecayRate:

@@ -16,8 +16,8 @@ and ``exit.txt``.  The text files name SRC and OUT as ``<SRC>`` and
     diff -r <out-rev> <out-here>
 
 The list spans every command, both formats, every geometry, pooled and
-single-process runs, multi-pass layouts and the exit codes 0, 1 and 3.  It
-takes about half a minute on two cores.
+single-process runs, multi-pass layouts and the exit codes 0, 1, 2 and 3.
+It takes about half a minute on two cores.
 """
 from __future__ import annotations
 
@@ -80,6 +80,15 @@ CASES = [
     # Probes every 4th gate in two slices: several points pass their probes
     # in one round and look back together, and points leave between probes.
     ([*_SWEEP_SMALL, "--confirm-window", "3", "--workers", "2", "--output", "sweep.csv"], {}),
+    # Exit 3 from a run and from a JSON sweep, each with the identity gate.
+    (["run", "--qubits", "3", "--realizations", "10", "--max-gates", "40", "--phi", "0",
+      "--require-convergence", "--output", "run.csv"], {}),
+    (["sweep-lambda", "--qubits", "3", "--realizations", "10", "--max-gates", "60",
+      "--lambda-grid", "0:0.7:0.35", "--threshold", "0.05", "--require-convergence",
+      "--format", "json", "--output", "lambda.json"], {}),
+    # An output in a missing directory: exit 2, before any work.
+    (["run", "--qubits", "3", "--realizations", "4", "--max-gates", "20",
+      "--output", "missing/run.csv"], {}),
 ]
 
 # Runs in the fresh interpreter: sys.argv[1] is {"argv": [...], "patch": {...}}.
