@@ -8,9 +8,8 @@ that duration, which shifts the optimum away from the pure gate-count one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .entanglement import Measure
 from .protocol import ProtocolConfig, convergence_gate_count, run_ensemble
 from .qstate import canonical_gate, entangler_gate
 
@@ -107,21 +106,22 @@ def assemble_sweep_table(phis, gate_counts, omega: float = 1.0) -> SweepTable:
 
 
 def _converged_count(config: ProtocolConfig, workers: int = 1) -> int | None:
-    """Confirmed gate count of the global linear measure of config's own gate: a grid of one point."""
+    """Confirmed gate count of config's own gate, on the judged measure: a grid of one point."""
     return _converged_counts(config, [config.fixed_gate], workers)[0]
 
 
 def _converged_counts(base_config: ProtocolConfig, gates, workers: int | None) -> list[int | None]:
-    """Gate count of the global linear measure at each grid point, one per fixed gate.
+    """Gate count at each grid point, one per fixed gate, of the global series of the judged measure.
 
-    Each point's config is base_config with that gate and the linear measure
-    alone.  One run_ensemble call runs them all: the points of a group
-    advance in lockstep, sharing streams, pairs and draws, their
-    realizations sliced over the workers, and each stops at its crossing.
+    Each point's config is base_config with that gate and the one measure
+    protocol._JUDGED names, and each trajectory is counted on the measure
+    its own config carries.  One run_ensemble call runs them all: the
+    points of a group advance in lockstep, sharing streams, pairs and
+    draws, their realizations sliced over the workers, and each stops at
+    its crossing.
     """
-    config = replace(base_config, measures=(Measure.LINEAR,))
-    trajs = run_ensemble(config, workers, gates=gates)
-    return [convergence_gate_count(traj, Measure.LINEAR) for traj in trajs]
+    trajs = run_ensemble(base_config, workers, gates=gates)
+    return [convergence_gate_count(traj, traj.config.measures[0]) for traj in trajs]
 
 
 def sweep_phi(
@@ -132,15 +132,17 @@ def sweep_phi(
 ) -> SweepTable:
     """Run the ensemble for each entangler angle and tabulate both optima.
 
-    Convergence is judged on the global linear measure.  The base config's
-    seed is reused at every grid point, so ensemble noise is correlated
-    across angles and the argmin comparison is sharper than independent
-    seeding would give; the angles of a group also share their draws, so
-    each stream draws once per gate for all of them.  A grid point stops as
-    its confirm window closes; one not converged by max_gates has no gate
-    count.  Every point's realizations are split over min(workers, R,
-    cores) processes (see _converged_counts).  The longest time a row can
-    report is checked for each angle before any ensemble runs.
+    Convergence is judged on the global series of the one measure
+    protocol._JUDGED names (linear), and only that measure runs, whatever
+    base_config.measures holds.  The base config's seed is reused at every
+    grid point, so ensemble noise is correlated across angles and the
+    argmin comparison is sharper than independent seeding would give; the
+    angles of a group also share their draws, so each stream draws once
+    per gate for all of them.  A grid point stops as its confirm window
+    closes; one not converged by max_gates has no gate count.  Every
+    point's realizations are split over min(workers, R, cores) processes
+    (see _converged_counts).  The longest time a row can report is checked
+    for each angle before any ensemble runs.
 
     Every ensemble product of the entangler family is symmetric under phi
     <-> pi - phi, for every measure, level and geometry: with each step's

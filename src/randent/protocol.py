@@ -67,6 +67,10 @@ _MAX_RECORDED = 1 << 20
 # The deltas fit_decay_rate fits, (hi, lo): those in [lo, hi].
 FIT_WINDOW = (0.5, 0.02)
 
+# The measure a grid of gates is judged on, by its global delta, and the
+# only one a judged grid runs (see run_ensemble).
+_JUDGED = Measure.LINEAR
+
 
 class WorkerError(RuntimeError):
     """A worker process of an ensemble ended before it answered."""
@@ -477,14 +481,15 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
 
     Without gates, returns the trajectory of config at every recorded gate
     up to max_gates.  With gates, returns one trajectory per gate, of
-    config with that fixed gate, holding the recorded gates its global
-    linear delta was judged at, in gate order (see _pass), each row
-    bitwise that of the point's full run.  It ends at the last gate of the
-    confirm window of the first confirmed crossing, count +
-    confirm_window * eval_stride, or at the last recorded gate.  Its
-    judged gates run without gaps back to its last failing one, so
-    convergence_gate_count, by the rule of the point's config that the
-    trajectory carries, gives the full run's count.
+    config with that fixed gate and the one measure _JUDGED names, whatever
+    config.measures holds, holding the recorded gates its global delta was
+    judged at, in gate order (see _pass), each row bitwise that of the
+    point's full run.  It ends at the last gate of the confirm window of
+    the first confirmed crossing, count + confirm_window * eval_stride, or
+    at the last recorded gate.  Its judged gates run without gaps back to
+    its last failing one, so convergence_gate_count, by the rule of the
+    point's config that the trajectory carries, gives the full run's
+    count.
 
     Points share their realizations' streams, so one draw per stream per
     gate serves every point of a group; _ensemble_means lays out the
@@ -494,17 +499,15 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if gates is not None:
+        config = replace(config, measures=(_JUDGED,))
     baselines = {
         meas: np.array(
             [baseline_level(config.num_qubits, m, meas) for m in range(1, config.num_qubits // 2 + 1)]
         )
         for meas in config.measures
     }
-    judge = None
-    if gates is not None:
-        if Measure.LINEAR not in config.measures:
-            raise ValueError("gates are judged on the linear measure, which config.measures lacks")
-        judge = (config.measures.index(Measure.LINEAR), baselines[Measure.LINEAR])
+    judge = None if gates is None else baselines[_JUDGED]
     points = [config] if gates is None else [replace(config, fixed_gate=gate) for gate in gates]
     series = _ensemble_means(config, [point.fixed_gate for point in points], workers, judge)
     trajs = [
@@ -572,24 +575,26 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     A request names the live points by id, and the slices answer only the
     rows it asks for, each summed in realization order after before, the
     answer of the pass before (None in the first).  A round takes at most
-    _BATCH_ENTRIES >> 4 values, or one recorded gate.  judge is None, or
-    (the column of the linear measure, its levels' baselines).  Without it
-    h is 0: every point is judged at every recorded gate, and none stops.
-    With it, a row passes when its global linear delta is at or below
-    config.threshold; a point's run is its passes in a row, and its window
-    closes when the run exceeds config.confirm_window (w).  The probe gates
-    are the recorded-gate positions h, 2h + 1, 3h + 2, ... and the last; as
-    h <= w, every run of w + 1 recorded gates holds one.  A point whose run
-    is open is judged at the next gate.  Any other point is judged at the
-    next probe gate; if that passes, at every gate since its last judged
-    one too, so its run is the passes in a row ending at the probe.  A
-    trajectory's judged gates thus run without gaps back to its last
-    failing one, and a point stops where its window closes, at its count +
-    w * stride.  A point is profiled at every gate of a round if its run is
-    open at the start, else at probe gates only, and a round ends no later
-    than the next probe gate.  A probe gate's row asks for every live
-    point, so a slice's checkpoint (see _run_chunk) is at or before every
-    gate a passing probe looks back over.  h = 0 judges every gate.
+    _BATCH_ENTRIES >> 4 values, or one recorded gate.  A row's columns are
+    summed alike, however many there are.  judge is None, or the levels'
+    baselines of the measure in column 0, the one _JUDGED names (see
+    run_ensemble).  Without it h is 0: every point is judged at every
+    recorded gate, and none stops.  With it, a row passes when the global
+    delta of its column 0 is at or below config.threshold; a point's run is
+    its passes in a row, and its window closes when the run exceeds
+    config.confirm_window (w).  The probe gates are the recorded-gate
+    positions h, 2h + 1, 3h + 2, ... and the last; as h <= w, every run of
+    w + 1 recorded gates holds one.  A point whose run is open is judged at
+    the next gate.  Any other point is judged at the next probe gate; if
+    that passes, at every gate since its last judged one too, so its run is
+    the passes in a row ending at the probe.  A trajectory's judged gates
+    thus run without gaps back to its last failing one, and a point stops
+    where its window closes, at its count + w * stride.  A point is
+    profiled at every gate of a round if its run is open at the start, else
+    at probe gates only, and a round ends no later than the next probe
+    gate.  A probe gate's row asks for every live point, so a slice's
+    checkpoint (see _run_chunk) is at or before every gate a passing probe
+    looks back over.  h = 0 judges every gate.
     """
     rec = record_gate_indices(config)
     r, window = config.realizations, len(rec) if judge is None else config.confirm_window
@@ -613,7 +618,7 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
         return min(t + h - t % (h + 1), len(rec) - 1)
 
     def passes(a, t):
-        return judge is not None and _delta(sums[a][t][judge[0]] / r, judge[1]) <= config.threshold
+        return judge is not None and _delta(sums[a][t][0] / r, judge) <= config.threshold
 
     def judge_at(a, t):
         runs[a] = runs[a] + 1 if passes(a, t) else 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import randent.brachistochrone
 import randent.protocol
 from randent.brachistochrone import sweep_phi
 from randent.entanglement import Measure, global_entanglement
@@ -644,20 +645,30 @@ class TestUntilConverged:
             assert other.gate_indices[-1] == want.gate_indices[-1]
             assert _assert_common_rows(other, want) > 0
 
-    def test_judged_column_need_not_be_first(self):
-        # The linear measure second: the same gates are judged, with the same rows.
+    def _judged_alone(self, measures):
+        # Whatever measures the config holds, a judged grid runs the linear
+        # measure alone, and judges the same gates with the same rows.
         gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3)]
         config = make_config(num_qubits=4, realizations=12, max_gates=150, seed=5, threshold=0.05,
                              confirm_window=4)
         alone = run_ensemble(config, workers=1, gates=gates)
-        both = replace(config, measures=(Measure.VON_NEUMANN, Measure.LINEAR))
-        second = run_ensemble(both, workers=1, gates=gates)
         assert [_count(traj) for traj in alone] == [13, 12, 79]
-        for want, got in zip(alone, second, strict=True):
+        grid = run_ensemble(replace(config, measures=measures), workers=1, gates=gates)
+        for want, got in zip(alone, grid, strict=True):
+            assert got.config.measures == (Measure.LINEAR,)
+            assert _count(got) == _count(want)
             np.testing.assert_array_equal(got.gate_indices, want.gate_indices)
             np.testing.assert_array_equal(
                 got.level_means[Measure.LINEAR], want.level_means[Measure.LINEAR]
             )
+
+    def test_needs_linear_measure(self):
+        # A config without the linear measure is judged on it all the same.
+        self._judged_alone((Measure.VON_NEUMANN,))
+
+    def test_judged_column_need_not_be_first(self):
+        # The linear measure second: the extra measure is dropped, not judged.
+        self._judged_alone((Measure.VON_NEUMANN, Measure.LINEAR))
 
     def test_judged_by_its_own_rule(self):
         # A judged trajectory has gaps; counted by any rule but its own it
@@ -670,10 +681,39 @@ class TestUntilConverged:
             assert _count(traj) == _count(_full_run(traj.config))
         assert [_count(traj) for traj in grid] == [11, 20, 50]
 
-    def test_needs_linear_measure(self):
-        config = make_config(measures=(Measure.VON_NEUMANN,))
-        with pytest.raises(ValueError):
-            run_ensemble(config, workers=1, gates=[config.fixed_gate])
+    def test_pass_sums_every_column_after_a_carry(self):
+        # The slices may answer more columns than config.measures: each is
+        # summed in realization order, the carry of the pass before first.
+        config = make_config(num_qubits=4, realizations=6, max_gates=12)
+        rec = record_gate_indices(config)
+        rng = np.random.default_rng(7)
+
+        def values(realizations):
+            # (gate, point, realization, column, level), spread over 16
+            # decades so that the order of a sum shows in its bits.
+            shape = (len(rec), 2, realizations, 3, 2)
+            return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+        def ask_from(vals):
+            def ask(request):
+                live, gates, rows = request
+                return np.array_split(vals[gates][:, live][rows], 2, axis=1)
+
+            return ask
+
+        first, second = values(4), values(2)
+        width = 4 * 3 * 2
+        before = randent.protocol._pass(config, ask_from(first), 2, width, None, None, 0)
+        got = randent.protocol._pass(config, ask_from(second), 2, width, before, None, 0)
+        ordered = np.concatenate([first, second], axis=2)
+        for a, (ts, sums) in enumerate(got):
+            assert list(ts) == list(range(len(rec)))
+            want = ordered[:, a, 0]
+            for r in range(1, 6):
+                want = want + ordered[:, a, r]
+            np.testing.assert_array_equal(sums, want)
+        backward = ordered[:, :, ::-1].cumsum(axis=2)[:, :, -1]
+        assert not np.array_equal(backward, np.stack([sums for _, sums in got], axis=1))
 
 
 class TestProbeGates:
@@ -766,6 +806,47 @@ class TestProbeGates:
             np.testing.assert_array_equal(traj.gate_indices, np.arange(10, 27))
             np.testing.assert_array_equal(
                 traj.level_means[Measure.LINEAR], full.level_means[Measure.LINEAR][10:27]
+            )
+
+
+class TestJudgedMeasure:
+    """A grid is judged on the one measure protocol._JUDGED names, whatever it is."""
+
+    PHIS = (math.pi / 6, math.pi / 3, math.pi / 2, 2.5)
+
+    @pytest.mark.parametrize("layout", ["one", "pooled", "passes"])
+    def test_grid_judged_on_von_neumann(self, monkeypatch, layout):
+        config = make_config(num_qubits=4, realizations=20, max_gates=300, seed=42, threshold=0.05,
+                             confirm_window=3)
+        full = [
+            run_ensemble(replace(config, fixed_gate=entangler_gate(phi),
+                                 measures=(Measure.VON_NEUMANN,)), workers=1)
+            for phi in self.PHIS
+        ]
+        counts = [convergence_gate_count(traj, Measure.VON_NEUMANN) for traj in full]
+        # The linear counts are [17, 13, 13, 20].
+        assert counts == [15, 9, 13, 20]
+        monkeypatch.setattr(randent.protocol, "_JUDGED", Measure.VON_NEUMANN)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if layout == "passes":
+            # One-point groups in two passes of ten realizations, the last
+            # adding to the first's sums and judging every gate (h = 0).
+            monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 10 * ((1 << 4) + 64))
+        grids = []
+
+        def recording(*args, **kwargs):
+            grids.append(run_ensemble(*args, **kwargs))
+            return grids[-1]
+
+        monkeypatch.setattr(randent.brachistochrone, "run_ensemble", recording)
+        table = sweep_phi(config, self.PHIS, workers=2 if layout == "pooled" else 1)
+        assert [row.n_gates for row in table.rows] == counts
+        for got, want in zip(grids[0], full, strict=True):
+            assert got.config.measures == (Measure.VON_NEUMANN,)
+            assert got.gate_indices[-1] < want.gate_indices[-1]
+            np.testing.assert_array_equal(
+                got.level_means[Measure.VON_NEUMANN],
+                want.level_means[Measure.VON_NEUMANN][got.gate_indices // config.eval_stride],
             )
 
 

@@ -17,7 +17,7 @@ and ``exit.txt``.  The text files name SRC and OUT as ``<SRC>`` and
 
 The list spans every command, both formats, every geometry, pooled and
 single-process runs, multi-pass layouts and the exit codes 0, 1, 2 and 3.
-It takes about half a minute on two cores.
+It takes about 20 s on two cores.
 """
 from __future__ import annotations
 
@@ -27,8 +27,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (argv, {randent.protocol constant: value}); "--output" takes a file name
-# in the invocation's own directory.
+# (argv, {randent.protocol constant: value}[, layout]); "--output" takes a
+# file name in the invocation's own directory.  A layout names what the
+# invocation's passes are, on two cores (tests/test_cli_outputs.py checks
+# it; this tool does not read it): the points of each group in order, the
+# realizations of each pass of a group, whether a group's last pass adds to
+# the sums of the passes before it, that pass's probe spacing h, and
+# whether any look-back runs.
 _SWEEP_N4 = ["sweep-phi", "--qubits", "4", "--realizations", "50", "--max-gates", "600"]
 _SWEEP_SMALL = ["sweep-phi", "--qubits", "4", "--realizations", "40", "--max-gates", "200"]
 _LAMBDA = ["sweep-lambda", "--qubits", "4", "--realizations", "40", "--max-gates", "200"]
@@ -41,9 +46,11 @@ CASES = [
       "--format", "json", "--workers", "2", "--seed", "42", "--output", "run.json"], {}),
     ([*_SWEEP_N4, "--workers", "2", "--seed", "42", "--output", "sweep.csv"], {}),
     # Probe spacing h = 0, and h = 3 at stride 2.
-    ([*_SWEEP_SMALL, "--confirm-window", "0", "--output", "sweep.csv"], {}),
+    ([*_SWEEP_SMALL, "--confirm-window", "0", "--output", "sweep.csv"], {},
+     dict(groups=(11,), passes=(40,), carry=False, h=0, looks=False)),
     ([*_SWEEP_SMALL, "--confirm-window", "3", "--eval-stride", "2", "--threshold", "0.05",
-      "--format", "json", "--output", "sweep.json"], {}),
+      "--format", "json", "--output", "sweep.json"], {},
+     dict(groups=(11,), passes=(40,), carry=False, h=3, looks=True)),
     ([*_LAMBDA, "--geometry", "local-open", "--format", "json", "--output", "lambda.json"], {}),
     ([*_LAMBDA, "--geometry", "local-periodic", "--workers", "2", "--output", "lambda.csv"], {}),
     # phi = 0 is the identity gate, which never converges: exit 3.
@@ -61,25 +68,35 @@ CASES = [
     # Slices that hold a few states each: one-point groups in several
     # passes, each slice in several batches.
     ([*_SWEEP_SMALL, "--workers", "2", "--output", "sweep.csv"],
-     {"_HELD_ENTRIES": 7 * (16 + 64), "_BATCH_ENTRIES": 3 << 4}),
+     {"_HELD_ENTRIES": 7 * (16 + 64), "_BATCH_ENTRIES": 3 << 4},
+     dict(groups=(1,) * 11, passes=(14, 13, 13), carry=True, h=0, looks=False)),
     (["run", "--qubits", "4", "--realizations", "30", "--max-gates", "60", "--measure", "both",
       "--workers", "2", "--output", "run.csv"],
-     {"_HELD_ENTRIES": 4 * (16 + 64), "_BATCH_ENTRIES": 2 << 4}),
+     {"_HELD_ENTRIES": 4 * (16 + 64), "_BATCH_ENTRIES": 2 << 4},
+     dict(groups=(1,), passes=(8, 8, 7, 7), carry=True, h=0, looks=False)),
     # One-point groups in passes of 3 and 2 whose last adds to the first's
-    # sums and probes every other gate (h = 1) in one-realization slices.
+    # sums and probes every 4th gate (h = 3) in one-realization slices,
+    # each holding its state, checkpoint, stream and 4 steps' draws:
+    # 2 * 16 + 64 + 17 * 4 = 164 entries.
     (["sweep-phi", "--qubits", "4", "--realizations", "5", "--max-gates", "200",
       "--threshold", "0.2", "--confirm-window", "3", "--workers", "2", "--output", "sweep.csv"],
-     {"_HELD_ENTRIES": 161}),
+     {"_HELD_ENTRIES": 164},
+     dict(groups=(1,) * 11, passes=(3, 2), carry=True, h=3, looks=True)),
     # Groups of 3 points whose slices each run 20 one-realization chunks
     # and probe every 11th gate (h = 10), holding states across chunks.
-    ([*_SWEEP_SMALL, "--workers", "2", "--output", "sweep.csv"], {"_BATCH_ENTRIES": 3 << 4}),
-    # Room for two copies of 10 points' states and their draws: groups of
-    # 10 points and 1, each probing every 11th gate (h = w = 10).
-    (["sweep-phi", "--qubits", "6", "--realizations", "30", "--max-gates", "150", "--output", "sweep.csv"],
-     {"_HELD_ENTRIES": 48000}),
+    ([*_SWEEP_SMALL, "--workers", "2", "--output", "sweep.csv"], {"_BATCH_ENTRIES": 3 << 4},
+     dict(groups=(3, 3, 3, 2), passes=(40,), carry=False, h=10, looks=True)),
+    # Room for two copies of 10 points' states and their draws in one
+    # slice: groups of 10 points and 1, each probing every 11th gate
+    # (h = w = 10).
+    (["sweep-phi", "--qubits", "6", "--realizations", "30", "--max-gates", "150", "--workers", "1",
+      "--output", "sweep.csv"],
+     {"_HELD_ENTRIES": 48000},
+     dict(groups=(10, 1), passes=(30,), carry=False, h=10, looks=True)),
     # Probes every 4th gate in two slices: several points pass their probes
     # in one round and look back together, and points leave between probes.
-    ([*_SWEEP_SMALL, "--confirm-window", "3", "--workers", "2", "--output", "sweep.csv"], {}),
+    ([*_SWEEP_SMALL, "--confirm-window", "3", "--workers", "2", "--output", "sweep.csv"], {},
+     dict(groups=(11,), passes=(40,), carry=False, h=3, looks=True)),
     # Exit 3 from a run and from a JSON sweep, each with the identity gate.
     (["run", "--qubits", "3", "--realizations", "10", "--max-gates", "40", "--phi", "0",
       "--require-convergence", "--output", "run.csv"], {}),
@@ -145,7 +162,7 @@ def main(argv=None) -> int:
     if out.exists() and any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
         return 1
-    for k, (case_argv, patch) in enumerate(CASES):
+    for k, (case_argv, patch, *_) in enumerate(CASES):
         code = run_case(src, out, k, case_argv, patch)
         print(f"{k}: exit {code}: randent {' '.join(case_argv)}")
     return 0
