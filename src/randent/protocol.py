@@ -263,10 +263,10 @@ def _run_batch(config: ProtocolConfig, chunks, rec, rows) -> np.ndarray:
     """Bring all chunks together to the recorded gates rec and stack the values asked for.
 
     rows holds one boolean per point for each gate of rec, the points
-    profiled there.  Returns one block per True of rows, in row-major
-    order, (asked, realizations, len(measures), floor(N/2)); each gate
-    count in rec is reached by every chunk before any chunk goes on, asked
-    or not.  A request whose gates are below the chunks' is a look-back:
+    profiled there; no request is empty.  Returns one block per True of
+    rows, in row-major order, (asked, realizations, len(measures),
+    floor(N/2)); each gate count in rec is reached by every chunk before
+    any chunk goes on, asked or not.  A request whose gates are below the chunks' is a look-back:
     each chunk narrows its checkpoint to the points rows asks for and
     replays its saved draws on those rows (see _run_chunk), which leaves
     the checkpoint stale.  Realizations and points are simulated side by
@@ -274,7 +274,7 @@ def _run_batch(config: ProtocolConfig, chunks, rec, rows) -> np.ndarray:
     random draws come from per-realization streams and the batched linear
     algebra has no cross-row reductions.
     """
-    if len(rec) and rec[0] < chunks[0].applied:
+    if rec[0] < chunks[0].applied:
         points = rows.any(axis=0)
         rows = rows[:, points]
         for chunk in chunks:
@@ -538,8 +538,11 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, judge) -
     point at the gates it picks, with probe spacing h = w if its slices
     hold it by the second count and 0 if not; every other pass is given
     None and sums every point at every recorded gate, the next pass adding
-    its values after those sums.  The sums are divided by R once, at the
-    end, so every layout gives the same bits.
+    its values after those sums.  So a group in passes mostly judges with
+    h = 0.  A last pass sized by the second count would get h = w, but it
+    adds passes before it, each of which profiles every recorded gate up to
+    max_gates: measured, that profiled 1.5 to 7 times the rows.  The sums
+    are divided by R once, at the end, so every layout gives the same bits.
     """
     r, n, w = config.realizations, config.num_qubits, config.confirm_window
     procs = min(workers or r, r, os.cpu_count() or 1)
@@ -559,22 +562,23 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, judge) -
         sums = None
         for p, indices in enumerate(passes):
             slices = np.array_split(indices, min(procs, len(indices)))
-            width = len(indices) * len(config.measures) * (n // 2)
             judging = judge if p == len(passes) - 1 else None
             held = len(slices[0]) * (copies * (len(group) << n) + 64 + saved)
             h = w if judging is not None and held <= _HELD_ENTRIES else 0
             with _slices(config, group, slices) as ask:
-                sums = _pass(config, ask, len(group), width, sums, judging, h)
+                sums = _pass(config, ask, len(group), len(indices), sums, judging, h)
         out += [(rec[at], rows / r) for at, rows in sums]
     return out
 
 
-def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
+def _pass(config: ProtocolConfig, ask, points, realizations, before, judge, h) -> list:
     """Each point's judged positions in the recorded gates, and its realization sums there.
 
     A request names the live points by id, and the slices answer only the
     rows it asks for, each summed in realization order after before, the
-    answer of the pass before (None in the first).  A round takes at most
+    answer of the pass before (None in the first).  The slices hold the
+    pass's realizations between them, so a point gives realizations *
+    n_measures * levels values at a gate, and a round takes at most
     _BATCH_ENTRIES >> 4 values, or one recorded gate.  A row's columns are
     summed alike, however many there are.  judge is None, or the levels'
     baselines of the measure in column 0, the one _JUDGED names (see
@@ -598,6 +602,7 @@ def _pass(config: ProtocolConfig, ask, points, width, before, judge, h) -> list:
     """
     rec = record_gate_indices(config)
     r, window = config.realizations, len(rec) if judge is None else config.confirm_window
+    width = realizations * len(config.measures) * (config.num_qubits // 2)
     sums = [{} for _ in range(points)]  # realization sums, by position
     judged = [[] for _ in range(points)]  # positions, in gate order
     runs = [0] * points

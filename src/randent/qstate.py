@@ -66,7 +66,8 @@ class StateVector:
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} qubits, got shape {amp.shape}"
             )
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > 1e-10:
+        # Written so that a NaN norm fails too.
+        if not abs(norm_sq - 1.0) <= 1e-10:
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm_sq!r}")
         self.num_qubits = num_qubits
         self.amplitudes = amp

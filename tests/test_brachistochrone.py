@@ -356,7 +356,7 @@ class TestEarlyExit:
         monkeypatch.setattr(randent.protocol, "_apply_pair_batch", counting)
         return steps
 
-    def test_converging_point_stops_at_window(self, gate_steps, replayed_rows):
+    def test_converging_point_stops_at_window(self, gate_steps, pass_log):
         # Each realization steps forward to the window's last gate, and the
         # one look-back replays ten gate steps of each realization on top.
         config = base_config(
@@ -365,24 +365,24 @@ class TestEarlyExit:
         )
         n = _converged_count(config)
         assert n is not None and n + config.confirm_window < config.max_gates
-        assert replayed_rows == [10 * config.realizations]
-        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations + sum(replayed_rows)
+        assert pass_log.replays == [10 * config.realizations]
+        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations + sum(pass_log.replays)
 
-    def test_point_above_one_batch_stops_at_window(self, gate_steps, replayed_rows, monkeypatch):
+    def test_point_above_one_batch_stops_at_window(self, gate_steps, pass_log, monkeypatch):
         config = base_config(
             num_qubits=4, fixed_gate=entangler_gate(math.pi / 2), realizations=50,
             max_gates=600, seed=42, threshold=0.01, confirm_window=10,
         )
         n = _converged_count(config)
         gate_steps.clear()
-        replayed_rows.clear()
+        pass_log.clear()
         # Two chunks, of 49 realizations and of one, advance together.
         monkeypatch.setattr(randent.protocol, "_BATCH_ENTRIES", (50 << 4) - 1)
         assert _converged_count(config) == n
-        assert replayed_rows == [10 * config.realizations]
-        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations + sum(replayed_rows)
+        assert pass_log.replays == [10 * config.realizations]
+        assert sum(gate_steps) == (n + config.confirm_window) * config.realizations + sum(pass_log.replays)
 
-    def test_pooled_point_stops_at_window(self, replayed_rows, monkeypatch):
+    def test_pooled_point_stops_at_window(self, pass_log, monkeypatch):
         # A one-point grid slices its realizations over two processes, and
         # each slice stops at the window: the steps are counted across them.
         steps = multiprocessing.Value("q", 0)
@@ -402,12 +402,12 @@ class TestEarlyExit:
             max_gates=600, seed=42, threshold=0.01, confirm_window=10,
         )
         n = _converged_count(config)
-        replayed_rows.clear()
+        pass_log.clear()
         monkeypatch.setattr(randent.protocol, "_apply_pair_batch", counting)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert _converged_count(config, workers=2) == n
-        assert replayed_rows == [10 * config.realizations]
-        assert steps.value == (n + config.confirm_window) * config.realizations + sum(replayed_rows)
+        assert pass_log.replays == [10 * config.realizations]
+        assert steps.value == (n + config.confirm_window) * config.realizations + sum(pass_log.replays)
         assert not here
 
     def test_point_above_held_states_stops_in_last_pass(self, gate_steps, monkeypatch):
@@ -467,21 +467,21 @@ class TestEarlyExit:
             num_qubits=4, realizations=20, max_gates=300, seed=42, threshold=0.02, confirm_window=4,
         )
 
-    def test_grid_points_share_draws(self, gate_steps, pick_pairs, replayed_rows):
+    def test_grid_points_share_draws(self, gate_steps, pick_pairs, pass_log):
         config = self.grid_config()
         phis = [math.pi / 6, math.pi / 3, math.pi / 2, 2.5]
         counts = [_converged_count(replace(config, fixed_gate=entangler_gate(p))) for p in phis]
         assert None not in counts
         gate_steps.clear()
         pick_pairs.clear()
-        replayed_rows.clear()
+        pass_log.clear()
         table = sweep_phi(config, phis, workers=1)
         assert [row.n_gates for row in table.rows] == counts
         steps = [(n + config.confirm_window) * config.realizations for n in counts]
-        assert sum(gate_steps) == sum(steps) + sum(replayed_rows)
+        assert sum(gate_steps) == sum(steps) + sum(pass_log.replays)
         assert len(pick_pairs) == max(steps)
 
-    def test_grid_split_into_groups(self, gate_steps, replayed_rows, monkeypatch):
+    def test_grid_split_into_groups(self, gate_steps, pass_log, monkeypatch):
         config = self.grid_config()
         phis = [math.pi / 6, math.pi / 3, math.pi / 2, 2.5, math.pi]
         table = sweep_phi(config, phis, workers=1)
@@ -490,7 +490,7 @@ class TestEarlyExit:
             (config.max_gates if n is None else n + config.confirm_window) * config.realizations
             for n in (row.n_gates for row in table.rows)
         )
-        assert sum(gate_steps) == steps + sum(replayed_rows)
+        assert sum(gate_steps) == steps + sum(pass_log.replays)
         held = []
         chunks = randent.protocol._chunks
 
@@ -505,10 +505,10 @@ class TestEarlyExit:
             randent.protocol, "_HELD_ENTRIES", 20 * (2 * 2 * (1 << 4) + 64 + 17 * (config.confirm_window + 1))
         )
         gate_steps.clear()
-        replayed_rows.clear()
+        pass_log.clear()
         assert sweep_phi(config, phis, workers=1) == table
         assert held == [2, 2, 1]
-        assert sum(gate_steps) == steps + sum(replayed_rows)
+        assert sum(gate_steps) == steps + sum(pass_log.replays)
 
     def test_unconverged_point_runs_to_cap(self, gate_steps):
         config = base_config(

@@ -116,6 +116,18 @@ class TestParseArgs:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, match", [
+        (["run", "--lambda", "a,0,0"], "could not convert string to float: 'a'"),
+        (["sweep-phi", "--phi-grid", "1:0:0.5"], "need stop >= start and step > 0"),
+        (["sweep-phi", "--phi-grid", "0:1:-0.5"], "need stop >= start and step > 0"),
+    ])
+    def test_malformed_value_rejected(self, argv, match, capsys):
+        # Each lands on its own message, as one line of usage error.
+        with pytest.raises(UsageError, match=match):
+            parse_args(argv)
+        assert main(argv) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ["run", "--lambda", "inf,0,0"],
         ["run", "--lambda", "0,-inf,0"],

@@ -131,6 +131,11 @@ class TestEntropies:
         with pytest.raises(SpectrumError):
             von_neumann_entropy(bad)
 
+    @pytest.mark.parametrize("dim", [3, 1])
+    def test_bad_shape_rejected(self, dim):
+        with pytest.raises(ValueError, match=r"2\^m x 2\^m"):
+            linear_entropy(np.eye(dim, dtype=complex) / dim)
+
     def test_zero_iff_pure(self):
         rng = rng_stream(22)
         for _ in range(20):
@@ -163,6 +168,10 @@ class TestLevelAndGlobal:
         prof = global_entanglement(bell_state(), Measure.VON_NEUMANN)
         assert abs(prof.per_level[0] - 1.0) < 1e-12
         assert abs(prof.global_value - 1.0) < 1e-12
+
+    def test_global_needs_two_qubits(self):
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            global_entanglement(StateVector.basis_state(1, 0), Measure.LINEAR)
 
     def test_entries_bounded(self):
         rng = rng_stream(23)

@@ -66,6 +66,8 @@ class TestGlobalBaseline:
         # Unbounded, the von Neumann table at N=40 would sum about 2*10^13 harmonic terms.
         with pytest.raises(ValueError, match="num_qubits"):
             haar_global_baseline(MAX_QUBITS + 1, Measure.LINEAR)
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            haar_global_baseline(1, Measure.LINEAR)
 
     def test_monotone_in_n(self):
         assert (
@@ -92,6 +94,11 @@ class TestSampleHaarState:
         for n in (1, 3, 6):
             s = sample_haar_state(n, rng)
             assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < 1e-12
+
+    def test_qubit_cap(self):
+        # Checked before any draw of 2^17 amplitudes.
+        with pytest.raises(ValueError, match=r"num_qubits must be in \[1, 16\]"):
+            sample_haar_state(17, rng_stream(30))
 
     def test_first_amplitude_moment(self):
         rng = rng_stream(31)

@@ -606,7 +606,7 @@ class TestUntilConverged:
                     )
 
     @pytest.mark.parametrize("workers, sizes", [(1, [2, 2, 1]), (2, [3, 2])])
-    def test_judged_pass_after_a_carry_is_cut_alike(self, monkeypatch, workers, sizes):
+    def test_judged_pass_after_a_carry_is_cut_alike(self, pass_log, monkeypatch, workers, sizes):
         # Room for two one-point realizations: groups of one point, each in
         # passes of the given sizes.  The last pass adds its values to the
         # sums before it, and its slices hold one realization each, with room
@@ -617,29 +617,13 @@ class TestUntilConverged:
         gates = [entangler_gate(phi) for phi in (math.pi / 3, math.pi / 2, 0.3, math.pi)]
         whole = run_ensemble(config, workers=1, gates=gates)
         assert [_count(traj) for traj in whole] == [4, 9, 24, None]
-        layout = []
-        run_pass = randent.protocol._pass
-
-        def recording(config, ask, points, width, before, judge, h):
-            asked = []
-
-            def spy(request):
-                asked.append(request[1])
-                return ask(request)
-
-            sums = run_pass(config, spy, points, width, before, judge, h)
-            # A look-back asks again for gates at or below those of the request before.
-            looks = sum(int(rec[0] <= prev[-1]) for prev, rec in zip(asked, asked[1:]))
-            layout.append((width // (config.num_qubits // 2), before is not None, h, looks))
-            return sums
-
-        monkeypatch.setattr(randent.protocol, "_pass", recording)
+        pass_log.clear()
         monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", 2 * (1 << 4) + 64 + 17 * 4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         got = run_ensemble(config, workers=workers, gates=gates)
-        assert [size for size, *_ in layout] == sizes * len(gates)
-        assert {(carry, h) for _, carry, h, _ in layout[len(sizes) - 1 :: len(sizes)]} == {(True, 3)}
-        assert sum(looks for *_, looks in layout) == 3
+        assert [entry.realizations for entry in pass_log] == sizes * len(gates)
+        assert {(entry.carry, entry.h) for entry in pass_log[len(sizes) - 1 :: len(sizes)]} == {(True, 3)}
+        assert len(pass_log.replays) == 3
         for other, want in zip(got, whole, strict=True):
             assert _count(other) == _count(want)
             assert other.gate_indices[-1] == want.gate_indices[-1]
@@ -702,9 +686,8 @@ class TestUntilConverged:
             return ask
 
         first, second = values(4), values(2)
-        width = 4 * 3 * 2
-        before = randent.protocol._pass(config, ask_from(first), 2, width, None, None, 0)
-        got = randent.protocol._pass(config, ask_from(second), 2, width, before, None, 0)
+        before = randent.protocol._pass(config, ask_from(first), 2, 4, None, None, 0)
+        got = randent.protocol._pass(config, ask_from(second), 2, 2, before, None, 0)
         ordered = np.concatenate([first, second], axis=2)
         for a, (ts, sums) in enumerate(got):
             assert list(ts) == list(range(len(rec)))
@@ -758,15 +741,15 @@ class TestProbeGates:
         assert probed_rows < sum(rows)
 
     @pytest.mark.parametrize("h", [3, 10])
-    def test_held_states_within_spacing(self, h, monkeypatch):
+    def test_held_states_within_spacing(self, h, pass_log, monkeypatch):
         # w = h.  With room for two copies of the four points' states, one
         # group probes every (w + 1)-th gate, each chunk holding at most one
         # checkpoint, a copy of its states, and the draws of at most w + 1
         # steps.  One entry less, and groups of 3 and 1 points get h = w.
         config = replace(self.grid_config(), confirm_window=h)
         want = [_count(t) for t in run_ensemble(config, workers=1, gates=self.GRID)]
-        held, spacing = [], []
-        run_chunk, run_pass = randent.protocol._run_chunk, randent.protocol._pass
+        held = []
+        run_chunk = randent.protocol._run_chunk
 
         def recording(config, chunk, g, rows):
             vals = run_chunk(config, chunk, g, rows)
@@ -774,20 +757,15 @@ class TestProbeGates:
                 held.append((chunk.check.size / chunk.amps.size, len(chunk.draws)))
             return vals
 
-        def spacing_of(*args):
-            spacing.append(args[-1])
-            return run_pass(*args)
-
         monkeypatch.setattr(randent.protocol, "_run_chunk", recording)
-        monkeypatch.setattr(randent.protocol, "_pass", spacing_of)
         room = self.held_entries(config, 4)
         for entries, groups in [(room, [h]), (room - 1, [h, h])]:
             monkeypatch.setattr(randent.protocol, "_HELD_ENTRIES", entries)
             held.clear()
-            spacing.clear()
+            pass_log.clear()
             got = run_ensemble(config, workers=1, gates=self.GRID)
             assert [_count(t) for t in got] == want
-            assert spacing == groups
+            assert [entry.h for entry in pass_log] == groups
             assert max(held) == (1.0, h + 1)
 
     def test_crossing_between_probes_found_by_look_back(self, monkeypatch):

@@ -76,8 +76,18 @@ class TestBasisState:
             StateVector.basis_state(n, idx)
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(1, [1.0, 1.0])
+        # A NaN amplitude makes a NaN norm, which is rejected too.
+        for n, amps in [(1, [1.0, 1.0]), (2, [math.nan, 0, 0, 0]), (2, [1, math.nan, 0, 0])]:
+            with pytest.raises(ValueError, match="not normalized"):
+                StateVector(n, amps)
+
+    @pytest.mark.parametrize("n, amps, match", [
+        (0, [1], "num_qubits"),
+        (2, [1, 0], "expected 4 amplitudes"),
+    ])
+    def test_bad_shape_rejected(self, n, amps, match):
+        with pytest.raises(ValueError, match=match):
+            StateVector(n, amps)
 
 
 class TestApplySingle:
@@ -99,6 +109,10 @@ class TestApplySingle:
     def test_qubit_out_of_range(self):
         with pytest.raises(ValueError):
             StateVector.basis_state(2, 0).apply_single(X, 2)
+
+    def test_gate_shape_rejected(self):
+        with pytest.raises(ValueError, match="must be 2x2"):
+            StateVector.basis_state(2, 0).apply_single(np.eye(3), 0)
 
 
 class TestApplyTwo:
@@ -167,6 +181,10 @@ class TestApplyTwo:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             StateVector.basis_state(2, 0).apply_two(CNOT, 0, 2)
+
+    def test_gate_shape_rejected(self):
+        with pytest.raises(ValueError, match="must be 4x4"):
+            StateVector.basis_state(2, 0).apply_two(X, 0, 1)
 
 
 class TestHaarSampling:
@@ -255,6 +273,9 @@ class TestCanonicalGate:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="finite"):
                     canonical_gate((bad, 0, 0))
+        # So is a lam without three components.
+        with pytest.raises(ValueError, match="three components"):
+            canonical_gate((0.1, 0.2))
 
 
 class TestEntanglerGate:
