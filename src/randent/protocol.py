@@ -483,7 +483,7 @@ def run_ensemble(config: ProtocolConfig, workers: int | None = None, *, gates=No
     up to max_gates.  With gates, returns one trajectory per gate, of
     config with that fixed gate and the one measure _JUDGED names, whatever
     config.measures holds, holding the recorded gates its global delta was
-    judged at, in gate order (see _pass), each row bitwise that of the
+    judged at, in gate order (see _judge), each row bitwise that of the
     point's full run.  It ends at the last gate of the confirm window of
     the first confirmed crossing, count + confirm_window * eval_stride, or
     at the last recorded gate.  Its judged gates run without gaps back to
@@ -574,95 +574,116 @@ def _ensemble_means(config: ProtocolConfig, gates, workers: int | None, judge) -
 def _pass(config: ProtocolConfig, ask, points, realizations, before, judge, h) -> list:
     """Each point's judged positions in the recorded gates, and its realization sums there.
 
-    A request names the live points by id, and the slices answer only the
-    rows it asks for, each summed in realization order after before, the
-    answer of the pass before (None in the first).  The slices hold the
-    pass's realizations between them, so a point gives realizations *
-    n_measures * levels values at a gate, and a round takes at most
-    _BATCH_ENTRIES >> 4 values, or one recorded gate.  A row's columns are
-    summed alike, however many there are.  judge is None, or the levels'
+    _judge decides every request; this turns each into a request to the
+    slices, which answer only the rows it asks for, and each answered row
+    into a verdict.  A row is summed in realization order after before,
+    the answer of the pass before (None in the first), and its columns are
+    summed alike, however many there are.  The slices hold the pass's
+    realizations between them, so a point gives realizations * n_measures
+    * levels values at a gate, and a round takes at most _BATCH_ENTRIES >>
+    4 values, or one recorded gate.  judge is None, or the levels'
     baselines of the measure in column 0, the one _JUDGED names (see
-    run_ensemble).  Without it h is 0: every point is judged at every
-    recorded gate, and none stops.  With it, a row passes when the global
-    delta of its column 0 is at or below config.threshold; a point's run is
-    its passes in a row, and its window closes when the run exceeds
-    config.confirm_window (w).  The probe gates are the recorded-gate
-    positions h, 2h + 1, 3h + 2, ... and the last; as h <= w, every run of
-    w + 1 recorded gates holds one.  A point whose run is open is judged at
-    the next gate.  Any other point is judged at the next probe gate; if
-    that passes, at every gate since its last judged one too, so its run is
-    the passes in a row ending at the probe.  A trajectory's judged gates
-    thus run without gaps back to its last failing one, and a point stops
-    where its window closes, at its count + w * stride.  A point is
-    profiled at every gate of a round if its run is open at the start, else
-    at probe gates only, and a round ends no later than the next probe
-    gate.  A probe gate's row asks for every live point, so a slice's
-    checkpoint (see _run_chunk) is at or before every gate a passing probe
-    looks back over.  h = 0 judges every gate.
+    run_ensemble).  Without it h is 0 and no row passes: every point is
+    judged at every recorded gate, and none stops.  With it, a row passes
+    when the global delta of its column 0 is at or below config.threshold,
+    and a point's window is config.confirm_window.
     """
     rec = record_gate_indices(config)
     r, window = config.realizations, len(rec) if judge is None else config.confirm_window
     width = realizations * len(config.measures) * (config.num_qubits // 2)
-    sums = [{} for _ in range(points)]  # realization sums, by position
-    judged = [[] for _ in range(points)]  # positions, in gate order
-    runs = [0] * points
-    live, done = list(range(points)), 0
+    sums = {}  # realization sums, by (point, position)
 
-    def request(lo, hi, rows):
+    def answer(live, lo, rows):
         at = [(live[c], lo + t) for t, c in np.argwhere(rows).tolist()]
-        vals = np.concatenate(ask((live, rec[lo:hi], rows)), axis=1)
+        vals = np.concatenate(ask((live, rec[lo : lo + len(rows)], rows)), axis=1)
         if before is not None and at:
             # The carry comes first in realization order: carry + v0, then + v1, ...
             vals[:, 0] += [before[a][1][t] for a, t in at]
         # A copy, so that the rows kept do not hold the whole cumsum.
-        for (a, t), row in zip(at, np.cumsum(vals, axis=1)[:, -1].copy()):
-            sums[a][t] = row
+        sums.update(zip(at, np.cumsum(vals, axis=1)[:, -1].copy()))
+        return {key: judge is not None and _delta(sums[key][0] / r, judge) <= config.threshold for key in at}
+
+    def most(n):
+        return max(1, (_BATCH_ENTRIES >> 4) // (width * n))
+
+    judged = _judge(points, len(rec), h, window, most, answer)
+    return [(ts, np.array([sums[a, t] for t in ts])) for a, ts in enumerate(judged)]
+
+
+def _judge(points, positions, h, window, most, answer) -> list:
+    """Each point's judged positions, in order, from the verdicts of the rows it asks for.
+
+    The schedule of a pass, which sees only whether a row passed.  Each
+    request is answer(live, lo, rows): the live point ids, in order, and a
+    boolean array rows (positions lo, lo + 1, ..., by live points) of the
+    rows asked for; it returns {(point, position): passed} for each of
+    them.  No request is empty: each spans a position at least, and a
+    look-back asks a row at least.  No row is asked twice.  A round asks
+    at most most(n) positions of n live points.  A point's run is its
+    passes in a row, and its window closes when the run exceeds window
+    (w); then it stops.  The probe positions are h, 2h + 1, 3h + 2, ...
+    and the last; as h <= w, every run of w + 1 positions holds one.  A
+    point whose run is open is judged at the next position.  Any other
+    point is judged at the next probe; if that passes, at every position
+    since its last judged one too, so its run is the passes in a row
+    ending at the probe.  A point's judged positions thus run without gaps
+    back to its last failing one, and it stops where its window closes, at
+    its count + w, or at the last position.  A point is asked at every
+    position of a round if its run is open at the start, else at probes
+    only, and a round ends no later than the next probe.  A probe asks for
+    every live point, so a look-back, the request that asks for the
+    positions a passing probe looks back over, asks none below the last
+    position before the probe at which every live point was asked: a
+    slice's checkpoint (see _run_chunk).  h = 0 judges every position.
+    """
+    seen = {}  # verdicts, by (point, position)
+    judged = [[] for _ in range(points)]
+    runs = [0] * points
+    live, done = list(range(points)), 0
 
     def probe(t):
-        """The first probe gate's position at or after t."""
-        return min(t + h - t % (h + 1), len(rec) - 1)
+        """The first probe position at or after t."""
+        return min(t + h - t % (h + 1), positions - 1)
 
-    def passes(a, t):
-        return judge is not None and _delta(sums[a][t][0] / r, judge) <= config.threshold
+    def request(lo, rows):
+        seen.update(answer(live, lo, np.array(rows)))
 
     def judge_at(a, t):
-        runs[a] = runs[a] + 1 if passes(a, t) else 0
+        runs[a] = runs[a] + 1 if seen[a, t] else 0
         judged[a].append(t)
 
-    while live and done < len(rec):
+    while live and done < positions:
         # A row adds at most one to a run, so only a round's last row closes a window.
         k = min(
-            len(rec) - done,
-            max(1, (_BATCH_ENTRIES >> 4) // (width * len(live))),
+            positions - done,
+            most(len(live)),
             window + 1 - max(runs[a] for a in live),
-            probe(done) + 1 - done if h else len(rec),
+            probe(done) + 1 - done if h else positions,
         )
-        rows = np.array([[runs[a] > 0 or probe(t) == t for a in live] for t in range(done, done + k)])
-        request(done, done + k, rows)
+        request(done, [[runs[a] > 0 or probe(t) == t for a in live] for t in range(done, done + k)])
         done += k
         back = {}
         for a in live:
             t = judged[a][-1] + 1 if judged[a] else 0
             while t < done:
-                # The gate a is judged at next: t while its run is open, else the next probe.
+                # The position a is judged at next: t while its run is open, else the next probe.
                 q = t if runs[a] else probe(t)
-                if q not in sums[a]:
+                if (a, q) not in seen:
                     break
-                if q > t and passes(a, q):
+                if q > t and seen[a, q]:
                     back[a] = t  # a passing probe, the round's last row: look back to t
                     break
-                judge_at(a, q)  # past a failing probe, the gates before it stay unjudged
+                judge_at(a, q)  # past a failing probe, the positions before it stay unjudged
                 t = q + 1
-        missing = {(a, u) for a, t in back.items() for u in range(t, done - 1) if u not in sums[a]}
+        missing = {(a, u) for a, t in back.items() for u in range(t, done - 1) if (a, u) not in seen}
         if missing:
             lo = min(u for _, u in missing)
-            rows = np.array([[(a, u) in missing for a in live] for u in range(lo, done - 1)])
-            request(lo, done - 1, rows)
+            request(lo, [[(a, u) in missing for a in live] for u in range(lo, done - 1)])
         for a, t in back.items():
             for u in range(t, done):
                 judge_at(a, u)
         live = [a for a in live if runs[a] <= window]
-    return [(ts, np.array([sums[a][t] for t in ts])) for a, ts in enumerate(judged)]
+    return judged
 
 
 def convergence_gate_count(traj: Trajectory, measure: Measure, level: int | None = None) -> int | None:

@@ -787,6 +787,66 @@ class TestProbeGates:
             )
 
 
+@st.composite
+def _schedules(draw):
+    """(points, positions, h, window, budget, flags): a pass's rule, and each point's verdict at every position."""
+    positions = draw(st.integers(1, 40))
+    window = draw(st.integers(0, 12))
+    # Verdicts in runs, so that windows close as well as break.
+    runs = st.lists(st.tuples(st.booleans(), st.integers(1, 14)), min_size=1, max_size=8)
+    flags = [
+        ([ok for ok, n in spans for _ in range(n)] * positions)[:positions]
+        for spans in draw(st.lists(runs, min_size=1, max_size=4))
+    ]
+    return len(flags), positions, draw(st.integers(0, window)), window, draw(st.integers(1, 60)), flags
+
+
+class TestJudge:
+    """The schedule of a pass alone (protocol._judge), driven by synthetic verdicts, with no engine."""
+
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @given(case=_schedules())
+    def test_schedule(self, case):
+        points, positions, h, window, budget, flags = case
+        probes = {t for t in range(positions) if t % (h + 1) == h or t == positions - 1}
+        asked = set()
+        # The forward rounds' end, and the positions every live point was asked at, with 0 (the first checkpoint).
+        done, every = 0, [0]
+
+        def answer(live, lo, rows):
+            nonlocal done
+            assert len(rows) and rows.shape[1] == len(live)  # no request is empty
+            at = {(live[c], lo + t) for t, c in np.argwhere(rows).tolist()}
+            assert not at & asked  # no row is asked twice
+            asked.update(at)
+            if lo == done:  # a forward round, ending no later than the next probe when h > 0
+                span = range(lo, lo + len(rows))
+                assert not h or span[-1] <= min(p for p in probes if p >= lo)
+                for c in range(len(live)):
+                    # At every position if the point's run is open, else at probes only.
+                    mine = {t for t in span if rows[t - lo, c]}
+                    assert mine in (set(span), probes & set(span))
+                every.extend(t for t in span if rows[t - lo].all())
+                done = span[-1] + 1
+            else:  # a look-back, from the checkpoint of the probe at done - 1
+                assert at and lo + len(rows) == done - 1
+                assert lo >= max(t for t in every if t < done - 1)
+            return {(a, t): flags[a][t] for a, t in at}
+
+        judged = randent.protocol._judge(points, positions, h, window, lambda n: max(1, budget // n), answer)
+        for a, ts in enumerate(judged):
+            assert {(a, t) for t in ts} <= asked
+            failed = [t for t in ts if not flags[a][t]]
+            # Without gaps back to the last failing position.
+            start = failed[-1] if failed else 0
+            assert start in ts and ts[ts.index(start) :] == list(range(start, ts[-1] + 1))
+            # Counted on the judged positions, as on the full sequence.
+            want = _count(synthetic_flags(flags[a], confirm_window=window))
+            judged_only = synthetic_flags([flags[a][t] for t in ts], confirm_window=window)
+            assert _count(replace(judged_only, gate_indices=np.array(ts))) == want
+            assert ts[-1] == (positions - 1 if want is None else want + window)
+
+
 class TestJudgedMeasure:
     """A grid is judged on the one measure protocol._JUDGED names, whatever it is."""
 
